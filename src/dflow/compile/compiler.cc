@@ -1,8 +1,10 @@
 // The plan compiler: lowers a prepared, strict-verified query into an
 // immutable DflowProgram and rebuilds dataflow graphs from programs without
-// re-planning. These are Engine member functions (lowering needs the
-// engine's private query preparation); they live here because the program
-// format, the fusion pass, and the cache they feed are this subsystem.
+// re-planning. It is the engine's only lowering: Execute, Verify and
+// ExecuteConcurrent compile a program first. These are Engine member
+// functions (lowering needs the engine's private query preparation); they
+// live here because the program format, the fusion pass, and the cache they
+// feed are this subsystem.
 
 #include <utility>
 
@@ -44,144 +46,21 @@ struct LoweredOps {
   std::vector<Value> literals;
 };
 
-/// Lowers (prepared, placement) to the final instruction list — the same
-/// normalization BuildQueryPipeline applies when interpreting a plan: a
-/// CPU-placed partial aggregate collapses into a single complete aggregate,
-/// and compress_uplink inserts the encode/decode pair around the network
-/// hop. Prototype operators are constructed once to type the schema table.
-Result<LoweredOps> LowerStages(const QuerySpec& spec,
-                               const Engine::PreparedQuery& prepared,
-                               const Placement& placement) {
-  using SK = Engine::PreparedQuery::StageKind;
-  LoweredOps out;
-  Schema current = prepared.scan_schema;
-  bool partial_dropped = false;
-  auto add = [&](OpCode code, const char* label, Site site,
-                 std::vector<uint32_t> slots = {}) {
-    out.ops.push_back(
-        ProgramOp{code, label, site, std::move(slots), current});
-  };
-  for (size_t i = 0; i < prepared.kinds.size(); ++i) {
-    const Site site = placement.sites[i];
-    switch (prepared.kinds[i]) {
-      case SK::kDecode:
-        add(OpCode::kDecode, "decode", site);
-        break;
-      case SK::kFilter: {
-        std::vector<uint32_t> slots;
-        if (prepared.filter != nullptr) {
-          CollectLiterals(*prepared.filter, &out.literals, &slots);
-        }
-        add(OpCode::kFilter, "filter", site, std::move(slots));
-        break;
-      }
-      case SK::kProject: {
-        std::vector<uint32_t> slots;
-        for (const ExprPtr& p : prepared.projections) {
-          CollectLiterals(*p, &out.literals, &slots);
-        }
-        std::vector<ExprPtr> exprs = prepared.projections;
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            ProjectOperator::Make(std::move(exprs), spec.projection_names,
-                                  current));
-        current = proto->output_schema();
-        add(OpCode::kProject, "project", site, std::move(slots));
-        break;
-      }
-      case SK::kCount: {
-        OperatorPtr proto(new CountOperator());
-        current = proto->output_schema();
-        add(OpCode::kCount, "count", site);
-        break;
-      }
-      case SK::kPartialAgg: {
-        if (site == Site::kCpu) {
-          partial_dropped = true;
-          break;
-        }
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            HashAggregateOperator::Make(current, spec.group_by,
-                                        spec.aggregates, AggMode::kPartial,
-                                        spec.preagg_budget));
-        current = proto->output_schema();
-        add(OpCode::kPartialAgg, "agg_partial", site);
-        break;
-      }
-      case SK::kFinalAgg: {
-        OperatorPtr proto;
-        if (partial_dropped) {
-          DFLOW_ASSIGN_OR_RETURN(
-              proto, HashAggregateOperator::Make(current, spec.group_by,
-                                                 spec.aggregates,
-                                                 AggMode::kComplete));
-          current = proto->output_schema();
-          add(OpCode::kCompleteAgg, "agg_final", site);
-        } else {
-          DFLOW_ASSIGN_OR_RETURN(
-              proto,
-              HashAggregateOperator::Make(current, spec.group_by,
-                                          MakeMergeSpecs(spec.aggregates),
-                                          AggMode::kFinal));
-          current = proto->output_schema();
-          add(OpCode::kFinalAgg, "agg_final", site);
-        }
-        break;
-      }
-      case SK::kSort: {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr proto,
-            SortOperator::Make(current, spec.order_by->column,
-                               spec.order_by->descending,
-                               spec.order_by->limit));
-        add(OpCode::kSort, "sort", site);
-        break;
-      }
-      case SK::kLimit: {
-        add(OpCode::kLimit, "limit", site);
-        break;
-      }
-    }
-  }
-
-  if (spec.compress_uplink) {
-    size_t last_storage = out.ops.size();
-    for (size_t i = 0; i < out.ops.size(); ++i) {
-      if (out.ops[i].site <= Site::kStorageNic) last_storage = i;
-    }
-    if (last_storage != out.ops.size()) {
-      const Schema enc_schema = out.ops[last_storage].output_schema;
-      Site dec_site = Site::kCpu;
-      for (size_t i = last_storage + 1; i < out.ops.size(); ++i) {
-        if (out.ops[i].site > Site::kStorageNic) {
-          dec_site = out.ops[i].site;
-          break;
-        }
-      }
-      out.ops.insert(out.ops.begin() + last_storage + 1,
-                     ProgramOp{OpCode::kEncode, "encode",
-                               out.ops[last_storage].site, {}, enc_schema});
-      out.ops.insert(out.ops.begin() + last_storage + 2,
-                     ProgramOp{OpCode::kReDecode, "decode2", dec_site, {},
-                               enc_schema});
-    }
-  }
-  return out;
-}
-
-/// Instantiates the live operator for one program op against the running
-/// input schema (updated in place).
-Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
+/// Instantiates the live operator for one opcode against the running input
+/// schema (updated in place). `filter` and `projections` are resolved
+/// against the scan schema. The single opcode -> operator mapping: the
+/// lowering types its schema table through it, and the program VM builds
+/// its stages through it.
+Result<OperatorPtr> InstantiateOp(const QuerySpec& spec, const ExprPtr& filter,
+                                  const std::vector<ExprPtr>& projections,
                                   const ProgramOp& pop, Schema* current) {
-  const QuerySpec& spec = program.spec();
   switch (pop.code) {
     case OpCode::kDecode:
       return OperatorPtr(new DecodeOperator(*current));
     case OpCode::kFilter:
-      return FilterOperator::Make(program.filter(), *current);
+      return FilterOperator::Make(filter, *current);
     case OpCode::kProject: {
-      std::vector<ExprPtr> exprs = program.projections();
+      std::vector<ExprPtr> exprs = projections;
       DFLOW_ASSIGN_OR_RETURN(
           OperatorPtr op,
           ProjectOperator::Make(std::move(exprs), spec.projection_names,
@@ -233,27 +112,116 @@ Result<OperatorPtr> InstantiateOp(const DflowProgram& program,
   return Status::Internal("unknown opcode in program");
 }
 
-struct BuiltProgram {
-  DataflowGraph::NodeId source = 0;
-  DataflowGraph::NodeId sink = 0;
-  bool has_network_edge = false;
-  DataflowGraph::NodeId net_from = 0;
-  DataflowGraph::NodeId net_to = 0;
-};
+/// Lowers (prepared, placement) to the final instruction list. Plan
+/// normalization happens here and only here: a CPU-placed partial
+/// aggregate collapses into a single complete aggregate, and
+/// compress_uplink inserts the encode/decode pair around the network hop.
+Result<LoweredOps> LowerStages(const QuerySpec& spec,
+                               const Engine::PreparedQuery& prepared,
+                               const Placement& placement) {
+  using SK = Engine::PreparedQuery::StageKind;
+  LoweredOps out;
+  Schema current = prepared.scan_schema;
+  bool partial_dropped = false;
+  for (size_t i = 0; i < prepared.kinds.size(); ++i) {
+    ProgramOp pop;
+    pop.site = placement.sites[i];
+    switch (prepared.kinds[i]) {
+      case SK::kDecode:
+        pop.code = OpCode::kDecode;
+        pop.label = "decode";
+        break;
+      case SK::kFilter:
+        pop.code = OpCode::kFilter;
+        pop.label = "filter";
+        if (prepared.filter != nullptr) {
+          CollectLiterals(*prepared.filter, &out.literals, &pop.literal_slots);
+        }
+        break;
+      case SK::kProject:
+        pop.code = OpCode::kProject;
+        pop.label = "project";
+        for (const ExprPtr& p : prepared.projections) {
+          CollectLiterals(*p, &out.literals, &pop.literal_slots);
+        }
+        break;
+      case SK::kCount:
+        pop.code = OpCode::kCount;
+        pop.label = "count";
+        break;
+      case SK::kPartialAgg:
+        if (pop.site == Site::kCpu) {
+          partial_dropped = true;
+          continue;
+        }
+        pop.code = OpCode::kPartialAgg;
+        pop.label = "agg_partial";
+        break;
+      case SK::kFinalAgg:
+        pop.code = partial_dropped ? OpCode::kCompleteAgg : OpCode::kFinalAgg;
+        pop.label = "agg_final";
+        break;
+      case SK::kSort:
+        pop.code = OpCode::kSort;
+        pop.label = "sort";
+        break;
+      case SK::kLimit:
+        pop.code = OpCode::kLimit;
+        pop.label = "limit";
+        break;
+    }
+    // Instantiating the operator types the op's output schema.
+    DFLOW_RETURN_NOT_OK(InstantiateOp(spec, prepared.filter,
+                                      prepared.projections, pop, &current)
+                            .status());
+    pop.output_schema = current;
+    out.ops.push_back(std::move(pop));
+  }
 
-/// The program "VM": replays the instruction list into a dataflow graph —
-/// one stage per op, or one fused stage per FusedGroup — and wires the
-/// chain with the program's credit layout. Mirrors BuildQueryPipeline's
-/// wiring exactly; the DiffRunner's compiled lane holds the two builders
-/// result-identical.
-Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
-                                       DataflowGraph* graph,
-                                       const DflowProgram& program, int node,
-                                       std::vector<ScanBatch> batches,
-                                       const std::string& label) {
-  BuiltProgram built;
+  if (spec.compress_uplink) {
+    size_t last_storage = out.ops.size();
+    for (size_t i = 0; i < out.ops.size(); ++i) {
+      if (out.ops[i].site <= Site::kStorageNic) last_storage = i;
+    }
+    if (last_storage != out.ops.size()) {
+      const Schema enc_schema = out.ops[last_storage].output_schema;
+      Site dec_site = Site::kCpu;
+      for (size_t i = last_storage + 1; i < out.ops.size(); ++i) {
+        if (out.ops[i].site > Site::kStorageNic) {
+          dec_site = out.ops[i].site;
+          break;
+        }
+      }
+      out.ops.insert(out.ops.begin() + last_storage + 1,
+                     ProgramOp{OpCode::kEncode, "encode",
+                               out.ops[last_storage].site, {}, enc_schema});
+      out.ops.insert(out.ops.begin() + last_storage + 2,
+                     ProgramOp{OpCode::kReDecode, "decode2", dec_site, {},
+                               enc_schema});
+    }
+  }
+  return out;
+}
+
+/// The program "VM": scans the program's table and replays the
+/// instruction list into a dataflow graph — one stage per op, or one fused
+/// stage per FusedGroup — wiring the chain with the program's credit
+/// layout and capping its network edge at `rate_limit_gbps` (0 = none).
+/// The only builder that turns a query into single-pipeline graph stages.
+Result<Engine::AdmittedPipeline> BuildProgramGraph(
+    Engine* engine, DataflowGraph* graph, const DflowProgram& program,
+    int node, const std::string& label, double rate_limit_gbps,
+    TableScanSource::ScanStats* scan_stats = nullptr) {
+  DFLOW_ASSIGN_OR_RETURN(
+      TableScanSource scan,
+      TableScanSource::Make(program.table(), program.scan_columns(),
+                            program.filter()));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
+                         scan.Produce(scan_stats));
+  Engine::AdmittedPipeline built;
+  built.variant = program.variant();
   built.source =
-      graph->AddSource("scan:" + label, fabric->store_media(),
+      graph->AddSource("scan:" + label, engine->fabric().store_media(),
                        sim::CostClass::kScan, std::move(batches),
                        program.scan_schema());
 
@@ -261,8 +229,10 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
   std::vector<OperatorPtr> live;
   Schema current = program.scan_schema();
   for (const ProgramOp& pop : program.ops()) {
-    DFLOW_ASSIGN_OR_RETURN(OperatorPtr op,
-                           InstantiateOp(program, pop, &current));
+    DFLOW_ASSIGN_OR_RETURN(
+        OperatorPtr op,
+        InstantiateOp(program.spec(), program.filter(), program.projections(),
+                      pop, &current));
     live.push_back(std::move(op));
   }
 
@@ -335,6 +305,10 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
   built.sink = graph->AddSink("client:" + label);
   DFLOW_RETURN_NOT_OK(connect(prev, built.sink, prev_site,
                               static_cast<int>(Site::kCpu)));
+  if (rate_limit_gbps > 0 && built.has_network_edge) {
+    DFLOW_RETURN_NOT_OK(
+        graph->SetEdgeRateLimit(built.net_from, built.net_to, rate_limit_gbps));
+  }
   return built;
 }
 
@@ -342,32 +316,11 @@ Result<BuiltProgram> BuildProgramGraph(Engine* engine, sim::Fabric* fabric,
 
 Result<std::shared_ptr<compile::CompiledQuery>> Engine::CompilePlan(
     const QuerySpec& spec) {
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-  uint64_t decoded = 0;
-  for (const ScanBatch& b : batches) {
-    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
-  }
-  DFLOW_ASSIGN_OR_RETURN(
-      PlacementOptimizer::Input input,
-      MakeOptimizerInput(spec, prepared, stats.encoded_bytes_read, decoded,
-                         batches.size()));
-  PlacementOptimizer optimizer(input);
   auto plan = std::make_shared<compile::CompiledQuery>();
-  plan->variants = optimizer.Enumerate();
-  if (plan->variants.empty()) {
-    return Status::Internal("no valid placement found");
-  }
+  DFLOW_RETURN_NOT_OK(EnumerateVariants(spec, plan.get()));
   plan->spec = spec;
   plan->plan_fingerprint = FingerprintQuerySpec(spec);
   plan->fabric_epoch = fabric_epoch_;
-  plan->cpu_only = optimizer.CpuOnly();
-  plan->full_offload = optimizer.FullOffload();
   plan->plan_cost_ns = compile::kPlanPrepareCostNs +
                        compile::kPlanScanSizingCostNs +
                        compile::kPlanPerVariantCostNs * plan->variants.size();
@@ -380,7 +333,8 @@ Result<std::shared_ptr<compile::CompiledQuery>> Engine::CompilePlan(
 
 Result<compile::ProgramPtr> Engine::CompileVariant(
     compile::CompiledQuery* plan, const Placement& placement,
-    verify::VerifyMode mode, compile::FuseMode fuse, int node) {
+    verify::VerifyMode mode, compile::FuseMode fuse, int node,
+    uint32_t credits) {
   DFLOW_CHECK(plan != nullptr);
   if (compile::ProgramPtr existing = plan->ProgramFor(placement.name)) {
     return existing;
@@ -417,9 +371,10 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
     b.projections = prepared.projections;
     b.ops = lowered.ops;
     b.literals = lowered.literals;
+    b.fuse = fuse;
     if (fuse == compile::FuseMode::kOn) b.fused_groups = PlanFusion(b.ops);
     b.placement = placement;
-    b.credits = ExecOptions().credits;
+    b.credits = credits;
     b.demand = demand;
     b.plan_fingerprint = plan->plan_fingerprint;
     b.fabric_epoch = fabric_epoch_;
@@ -430,22 +385,16 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
 
   // Verify once, at compile time, against the live fabric and health
   // registry. The scratch graph schedules nothing and charges no fabric
-  // work (same guarantee Engine::Verify relies on).
+  // work, so verification — and Engine::Verify, which returns this stamp —
+  // is side-effect free on the fabric.
   verify::VerifyReport stamp;
   uint64_t verify_cost_ns = 0;
   if (mode != verify::VerifyMode::kOff) {
     compile::ProgramPtr pre = fill_builder().Build();
-    DFLOW_ASSIGN_OR_RETURN(
-        TableScanSource scan,
-        TableScanSource::Make(prepared.table, prepared.scan_columns,
-                              prepared.filter));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
     DataflowGraph scratch(&fabric_.simulator());
-    DFLOW_ASSIGN_OR_RETURN(
-        BuiltProgram built,
-        BuildProgramGraph(this, &fabric_, &scratch, *pre, node,
-                          std::move(batches), "compile"));
-    (void)built;
+    DFLOW_RETURN_NOT_OK(BuildProgramGraph(this, &scratch, *pre, node,
+                                          spec.table, /*rate_limit_gbps=*/0)
+                            .status());
     stamp = VerifyGraphSpec(scratch.Describe());
     const uint64_t num_stages = lowered.ops.size() + 2;  // + source + sink
     verify_cost_ns = compile::kVerifyPerStageCostNs * num_stages +
@@ -486,26 +435,8 @@ Result<compile::ProgramPtr> Engine::Compile(const QuerySpec& spec,
                                             compile::FuseMode fuse, int node) {
   DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
                          CompilePlan(spec));
-  Placement placement;
-  switch (choice) {
-    case PlacementChoice::kAuto: {
-      placement = plan->variants.front().placement;
-      for (const RankedPlacement& v : plan->variants) {
-        if (PlacementHealthy(v.placement, node)) {
-          placement = v.placement;
-          break;
-        }
-      }
-      break;
-    }
-    case PlacementChoice::kCpuOnly:
-      placement = plan->cpu_only;
-      break;
-    case PlacementChoice::kFullOffload:
-      placement = plan->full_offload;
-      break;
-  }
-  return CompileVariant(plan.get(), placement, mode, fuse, node);
+  return CompileVariant(plan.get(), ChoosePlacement(*plan, choice, node), mode,
+                        fuse, node);
 }
 
 Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
@@ -516,20 +447,16 @@ Result<QueryResult> Engine::ExecuteProgram(const compile::DflowProgram& program,
 Result<QueryResult> Engine::ExecuteProgramImpl(
     const compile::DflowProgram& program, const ExecOptions& options,
     bool allow_fallback) {
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-
   if (options.trace.enabled && tracer_ == nullptr) {
     EnableTracing(options.trace);
   }
   if (options.reset_fabric) {
     fabric_.Reset();
+    // Trace and report describe the same window: the events of this run.
     if (tracer_ != nullptr) tracer_->Clear();
   } else {
+    // Chained run: keep the clock and timing state but zero the byte/busy
+    // counters so this run's report counts only its own traffic.
     fabric_.ResetMetrics();
   }
   DataflowGraph graph(&fabric_.simulator());
@@ -537,33 +464,34 @@ Result<QueryResult> Engine::ExecuteProgramImpl(
   DFLOW_TRACE(tracer_.get(),
               Instant("engine", "engine", "plan_choice",
                       fabric_.simulator().now(), /*value=*/0,
-                      program.variant() + " (compiled)"));
+                      program.variant()));
+  TableScanSource::ScanStats stats;
   DFLOW_ASSIGN_OR_RETURN(
-      BuiltProgram built,
-      BuildProgramGraph(this, &fabric_, &graph, program, options.node,
-                        std::move(batches), program.spec().table));
-  if (options.network_rate_limit_gbps > 0 && built.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(graph.SetEdgeRateLimit(
-        built.net_from, built.net_to, options.network_rate_limit_gbps));
-  }
+      AdmittedPipeline built,
+      BuildProgramGraph(this, &graph, program, options.node,
+                        program.spec().table, options.network_rate_limit_gbps,
+                        &stats));
   const Status run_status = graph.Run();
   if (!run_status.ok()) {
     const std::string dead = graph.failed_device();
     if (allow_fallback && !dead.empty()) {
-      // Same graceful degradation as the interpreted path, except the
-      // recovery plan is a compiled artifact too: quarantine the device
-      // (which bumps the fabric epoch, stranding stale cache entries) and
-      // recompile the CPU-only variant.
+      // Graceful degradation (§7): a processing element died permanently
+      // mid-query. Quarantine it (which bumps the fabric epoch, stranding
+      // stale cache entries) and re-run the traditional CPU-centric plan,
+      // which touches only the media, the links, and the CPU — compiled
+      // with this program's fuse mode and credits.
       MarkDeviceUnhealthy(dead);
       const bool dead_is_unavoidable =
           dead == fabric_.store_media()->name() ||
           dead == fabric_.node(options.node).cpu->name();
       if (!dead_is_unavoidable) {
-        DFLOW_ASSIGN_OR_RETURN(
-            compile::ProgramPtr fallback,
-            Compile(program.spec(), PlacementChoice::kCpuOnly, options.verify,
-                    compile::DefaultFuseMode(), options.node));
-        if (fallback->placement().sites != program.placement().sites) {
+        DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
+                               CompilePlan(program.spec()));
+        if (plan->cpu_only.sites != program.placement().sites) {
+          DFLOW_ASSIGN_OR_RETURN(
+              compile::ProgramPtr fallback,
+              CompileVariant(plan.get(), plan->cpu_only, options.verify,
+                             program.fuse(), options.node, program.credits()));
           ExecOptions retry = options;
           retry.reset_fabric = true;  // fresh timeline for the recovery run
           DFLOW_ASSIGN_OR_RETURN(
@@ -593,28 +521,9 @@ Result<Engine::AdmittedPipeline> Engine::BuildProgramPipeline(
     DataflowGraph* graph, const compile::DflowProgram& program,
     const std::string& label, double rate_limit_gbps) {
   DFLOW_CHECK(graph != nullptr);
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
   ArmGraph(graph);
-  DFLOW_ASSIGN_OR_RETURN(
-      BuiltProgram b,
-      BuildProgramGraph(this, &fabric_, graph, program, /*node=*/0,
-                        std::move(batches), label));
-  if (rate_limit_gbps > 0 && b.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(
-        graph->SetEdgeRateLimit(b.net_from, b.net_to, rate_limit_gbps));
-  }
-  AdmittedPipeline admitted;
-  admitted.source = b.source;
-  admitted.sink = b.sink;
-  admitted.has_network_edge = b.has_network_edge;
-  admitted.net_from = b.net_from;
-  admitted.net_to = b.net_to;
-  admitted.variant = program.variant();
-  return admitted;
+  return BuildProgramGraph(this, graph, program, /*node=*/0, label,
+                           rate_limit_gbps);
 }
 
 }  // namespace dflow

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "dflow/common/hash.h"
+#include "dflow/compile/fuse.h"
 #include "dflow/plan/fingerprint.h"
 
 namespace dflow::compile {
@@ -104,6 +105,7 @@ std::shared_ptr<const DflowProgram> DflowProgram::Builder::Build() && {
   program->filter_ = std::move(filter);
   program->projections_ = std::move(projections);
   program->ops_ = std::move(ops);
+  program->fuse_ = fuse;
   program->fused_groups_ = std::move(fused_groups);
   program->literals_ = std::move(literals);
   program->placement_ = std::move(placement);
@@ -135,6 +137,7 @@ std::string DflowProgram::SerializeToString() const {
   for (Site s : placement_.sites) os << " " << SiteToString(s);
   os << "\n";
   os << "credits " << credits_ << "\n";
+  os << "fuse " << FuseModeToString(fuse_) << "\n";
   os << "literals " << literals_.size() << "\n";
   for (size_t i = 0; i < literals_.size(); ++i) {
     os << "  lit[" << i << "] " << LiteralToString(literals_[i]) << "\n";

@@ -38,6 +38,13 @@ enum class OpCode : uint8_t {
 
 std::string_view OpCodeToString(OpCode code);
 
+/// Whether the compiler's operator-fusion pass runs. On by default; the
+/// --dflow_fuse=off escape hatch exists so any suspected fusion bug can be
+/// bisected in one flag flip (the DiffRunner's compiled lane cross-checks
+/// fused vs unfused result fingerprints continuously). Engine::Execute
+/// compiles unfused programs.
+enum class FuseMode { kOff, kOn };
+
 /// One instruction of the program: an opcode, the site it is pinned to, and
 /// the parameter slots (indices into the literal pool) its expressions
 /// read. `output_schema` is the stage's statically-known output layout —
@@ -63,11 +70,11 @@ struct FusedGroup {
 ///
 /// The artifact has two faces. The *bytecode* face — opcode list with
 /// parameter slots into a literal pool, schema table, placement, credit
-/// layout, fused groups — is what SerializeToString renders and what the
-/// fingerprint covers; it is byte-identical across processes for the same
-/// plan. The *execution* face — the resolved expression trees and the
-/// pinned table — is the in-memory payload Engine::ExecuteProgram feeds to
-/// the operator constructors; it references the same literals the slots
+/// layout, fuse mode, fused groups — is what SerializeToString renders and
+/// what the fingerprint covers; it is byte-identical across processes for
+/// the same plan. The *execution* face — the resolved expression trees and
+/// the pinned table — is the in-memory payload Engine::ExecuteProgram feeds
+/// to the operator constructors; it references the same literals the slots
 /// index. Programs are created through Builder (by Engine::Compile) and
 /// never mutated afterwards, so they are safe to share across admissions.
 class DflowProgram {
@@ -80,6 +87,7 @@ class DflowProgram {
     ExprPtr filter;                    // resolved against scan_schema
     std::vector<ExprPtr> projections;  // resolved against scan_schema
     std::vector<ProgramOp> ops;
+    FuseMode fuse = FuseMode::kOn;
     std::vector<FusedGroup> fused_groups;
     std::vector<Value> literals;
     Placement placement;
@@ -106,6 +114,9 @@ class DflowProgram {
 
   // ------------------------------------------------------------- bytecode --
   const std::vector<ProgramOp>& ops() const { return ops_; }
+  /// The fuse mode the program was compiled with; a crash fallback
+  /// recompiles the CPU-only variant with the same mode.
+  FuseMode fuse() const { return fuse_; }
   const std::vector<FusedGroup>& fused_groups() const { return fused_groups_; }
   const std::vector<Value>& literals() const { return literals_; }
   const Placement& placement() const { return placement_; }
@@ -131,10 +142,11 @@ class DflowProgram {
   const std::vector<ExprPtr>& projections() const { return projections_; }
 
   /// Canonical textual serialization of the artifact: header, placement,
-  /// credit layout, literal pool, schema table, instruction list, fused
-  /// groups, verifier stamp. Deterministic — a pure function of the plan
-  /// and the compile environment, byte-identical across process runs (the
-  /// compile_test gate). The layout is documented in DESIGN.md §10.
+  /// credit layout, fuse mode, literal pool, schema table, instruction
+  /// list, fused groups, verifier stamp. Deterministic — a pure function of
+  /// the plan and the compile environment, byte-identical across process
+  /// runs (the compile_test gate). The layout is documented in DESIGN.md
+  /// §10.
   std::string SerializeToString() const;
 
  private:
@@ -148,6 +160,7 @@ class DflowProgram {
   ExprPtr filter_;
   std::vector<ExprPtr> projections_;
   std::vector<ProgramOp> ops_;
+  FuseMode fuse_ = FuseMode::kOn;
   std::vector<FusedGroup> fused_groups_;
   std::vector<Value> literals_;
   Placement placement_;

@@ -22,20 +22,13 @@ struct CacheKey {
   uint64_t plan_fingerprint = 0;
   uint64_t fabric_epoch = 0;
   int verifier_version = 0;
-  /// Compute node the program was compiled for. The epoch above is that
-  /// node's epoch (Engine::fabric_epoch(node)), so a health change on one
-  /// cluster node never strands another node's entries.
-  int node = 0;
 
   bool operator<(const CacheKey& o) const {
     if (plan_fingerprint != o.plan_fingerprint) {
       return plan_fingerprint < o.plan_fingerprint;
     }
     if (fabric_epoch != o.fabric_epoch) return fabric_epoch < o.fabric_epoch;
-    if (verifier_version != o.verifier_version) {
-      return verifier_version < o.verifier_version;
-    }
-    return node < o.node;
+    return verifier_version < o.verifier_version;
   }
 };
 

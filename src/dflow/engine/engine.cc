@@ -6,6 +6,7 @@
 
 #include "dflow/common/logging.h"
 #include "dflow/common/string_util.h"
+#include "dflow/compile/program_cache.h"
 #include "dflow/exec/filter.h"
 #include "dflow/exec/join.h"
 #include "dflow/exec/misc_ops.h"
@@ -86,35 +87,8 @@ void Engine::DisableTracing() {
   tracer_.reset();
 }
 
-namespace {
-
-// Trailing digits of a device name identify its compute node ("cnic1" ->
-// node 1). The storage chain ("store_media", "storage_nic", ...) has no
-// suffix: those devices are shared, so a health change there is -1
-// (every node's epoch moves).
-int DeviceNode(const std::string& name) {
-  size_t begin = name.size();
-  while (begin > 0 && name[begin - 1] >= '0' && name[begin - 1] <= '9') {
-    --begin;
-  }
-  if (begin == name.size()) return -1;
-  return std::stoi(name.substr(begin));
-}
-
-}  // namespace
-
 void Engine::MarkDeviceUnhealthy(const std::string& name) {
-  if (!unhealthy_.insert(name).second) return;
-  ++fabric_epoch_;
-  if (node_epochs_.empty()) {
-    node_epochs_.assign(std::max(1, config_.num_compute_nodes), 0);
-  }
-  const int node = DeviceNode(name);
-  if (node >= 0 && node < static_cast<int>(node_epochs_.size())) {
-    ++node_epochs_[node];
-  } else {
-    for (uint64_t& e : node_epochs_) ++e;
-  }
+  if (unhealthy_.insert(name).second) ++fabric_epoch_;
 }
 
 bool Engine::IsDeviceHealthy(const std::string& name) const {
@@ -122,18 +96,8 @@ bool Engine::IsDeviceHealthy(const std::string& name) const {
 }
 
 void Engine::ClearDeviceHealth() {
-  if (!unhealthy_.empty()) {
-    ++fabric_epoch_;
-    for (uint64_t& e : node_epochs_) ++e;
-  }
+  if (!unhealthy_.empty()) ++fabric_epoch_;
   unhealthy_.clear();
-}
-
-uint64_t Engine::fabric_epoch(int node) const {
-  if (node < 0 || node >= static_cast<int>(node_epochs_.size())) {
-    return fabric_epoch_;
-  }
-  return node_epochs_[node];
 }
 
 bool Engine::PlacementHealthy(const Placement& placement, int node) {
@@ -292,24 +256,40 @@ Result<Engine::PreparedQuery> Engine::Prepare(const QuerySpec& spec) const {
   return prepared;
 }
 
-Result<PlacementOptimizer::Input> Engine::MakeOptimizerInput(
-    const QuerySpec& spec, const PreparedQuery& prepared,
-    uint64_t encoded_bytes, uint64_t decoded_bytes, size_t num_batches) const {
-  (void)spec;
+Status Engine::EnumerateVariants(const QuerySpec& spec,
+                                 compile::CompiledQuery* plan) const {
+  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
+  DFLOW_ASSIGN_OR_RETURN(
+      TableScanSource scan,
+      TableScanSource::Make(prepared.table, prepared.scan_columns,
+                            prepared.filter));
+  TableScanSource::ScanStats stats;
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
+  uint64_t decoded = 0;
+  for (const ScanBatch& b : batches) {
+    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
+  }
+  const uint64_t encoded = stats.encoded_bytes_read;
   PlacementOptimizer::Input input;
-  input.input_bytes = static_cast<double>(encoded_bytes);
-  input.media_ns =
-      static_cast<double>(encoded_bytes) / config_.store_media_gbps +
-      static_cast<double>(num_batches) *
-          static_cast<double>(config_.store_request_latency_ns);
-  input.stages = prepared.descs;
+  input.input_bytes = static_cast<double>(encoded);
+  input.media_ns = static_cast<double>(encoded) / config_.store_media_gbps +
+                   static_cast<double>(batches.size()) *
+                       static_cast<double>(config_.store_request_latency_ns);
+  input.stages = std::move(prepared.descs);
   // Decode expands the stream from at-rest to in-memory size.
-  if (!input.stages.empty() && encoded_bytes > 0) {
+  if (!input.stages.empty() && encoded > 0) {
     input.stages[0].reduction =
-        static_cast<double>(decoded_bytes) / static_cast<double>(encoded_bytes);
+        static_cast<double>(decoded) / static_cast<double>(encoded);
   }
   input.config = config_;
-  return input;
+  PlacementOptimizer optimizer(input);
+  plan->variants = optimizer.Enumerate();
+  if (plan->variants.empty()) {
+    return Status::Internal("no valid placement found");
+  }
+  plan->cpu_only = optimizer.CpuOnly();
+  plan->full_offload = optimizer.FullOffload();
+  return Status::OK();
 }
 
 sim::Device* Engine::SiteDevice(Site site, int node) {
@@ -398,57 +378,44 @@ ExecutionReport Engine::CollectReport(const DataflowGraph& graph,
   return report;
 }
 
-namespace {
-
-/// Shared pipeline-construction result.
-struct BuiltPipeline {
-  DataflowGraph::NodeId source = 0;
-  DataflowGraph::NodeId sink = 0;
-  // The edge that crosses the network (for rate limiting), if any.
-  bool has_network_edge = false;
-  DataflowGraph::NodeId net_from = 0;
-  DataflowGraph::NodeId net_to = 0;
-};
-
-}  // namespace
-
-// Builds one query pipeline into `graph` and returns its endpoints.
-static Result<BuiltPipeline> BuildQueryPipeline(
-    Engine* engine, sim::Fabric* fabric, DataflowGraph* graph,
-    const QuerySpec& spec, const Engine::PreparedQuery& prepared,
-    const Placement& placement, const ExecOptions& options,
-    std::vector<ScanBatch> batches, const std::string& label);
-
-Result<Placement> Engine::ChoosePlacement(const QuerySpec& spec,
-                                          PlacementChoice choice, int node) {
+Placement Engine::ChoosePlacement(const compile::CompiledQuery& plan,
+                                  PlacementChoice choice, int node) {
+  DFLOW_CHECK(!plan.variants.empty());
   switch (choice) {
-    case PlacementChoice::kAuto: {
+    case PlacementChoice::kAuto:
       // Best-ranked variant whose devices are all healthy; if every variant
       // touches a dead device, keep the best and let fallback handle it.
-      DFLOW_ASSIGN_OR_RETURN(std::vector<RankedPlacement> variants,
-                             PlanVariants(spec));
-      DFLOW_CHECK(!variants.empty());
-      for (const RankedPlacement& v : variants) {
+      for (const RankedPlacement& v : plan.variants) {
         if (PlacementHealthy(v.placement, node)) return v.placement;
       }
-      return variants.front().placement;
-    }
-    case PlacementChoice::kCpuOnly: {
-      DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-      PlacementOptimizer::Input input;
-      input.stages = prepared.descs;
-      input.config = config_;
-      return PlacementOptimizer(input).CpuOnly();
-    }
-    case PlacementChoice::kFullOffload: {
-      DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-      PlacementOptimizer::Input input;
-      input.stages = prepared.descs;
-      input.config = config_;
-      return PlacementOptimizer(input).FullOffload();
-    }
+      return plan.variants.front().placement;
+    case PlacementChoice::kCpuOnly:
+      return plan.cpu_only;
+    case PlacementChoice::kFullOffload:
+      return plan.full_offload;
   }
-  return Status::InvalidArgument("unknown placement choice");
+  return plan.variants.front().placement;
+}
+
+Result<std::vector<RankedPlacement>> Engine::PlanVariants(
+    const QuerySpec& spec) const {
+  compile::CompiledQuery plan;
+  DFLOW_RETURN_NOT_OK(EnumerateVariants(spec, &plan));
+  return std::move(plan.variants);
+}
+
+Result<compile::ProgramPtr> Engine::CompileUnfused(const QuerySpec& spec,
+                                                   const Placement* placement,
+                                                   verify::VerifyMode mode,
+                                                   const ExecOptions& options) {
+  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
+                         CompilePlan(spec));
+  const Placement chosen =
+      placement != nullptr
+          ? *placement
+          : ChoosePlacement(*plan, options.placement, options.node);
+  return CompileVariant(plan.get(), chosen, mode, compile::FuseMode::kOff,
+                        options.node, options.credits);
 }
 
 Result<QueryResult> Engine::Execute(const QuerySpec& spec,
@@ -457,41 +424,18 @@ Result<QueryResult> Engine::Execute(const QuerySpec& spec,
     return ExecuteParallel(spec, options);
   }
   DFLOW_ASSIGN_OR_RETURN(
-      Placement placement,
-      ChoosePlacement(spec, options.placement, options.node));
-  return ExecuteWithPlacement(spec, placement, options);
-}
-
-Result<std::vector<RankedPlacement>> Engine::PlanVariants(
-    const QuerySpec& spec) const {
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-  uint64_t decoded = 0;
-  for (const ScanBatch& b : batches) {
-    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
-  }
-  DFLOW_ASSIGN_OR_RETURN(
-      PlacementOptimizer::Input input,
-      MakeOptimizerInput(spec, prepared, stats.encoded_bytes_read, decoded,
-                         batches.size()));
-  PlacementOptimizer optimizer(input);
-  std::vector<RankedPlacement> variants = optimizer.Enumerate();
-  if (variants.empty()) {
-    return Status::Internal("no valid placement found");
-  }
-  return variants;
+      compile::ProgramPtr program,
+      CompileUnfused(spec, /*placement=*/nullptr, options.verify, options));
+  return ExecuteProgram(*program, options);
 }
 
 Result<QueryResult> Engine::ExecuteWithPlacement(const QuerySpec& spec,
                                                  const Placement& placement,
                                                  const ExecOptions& options) {
-  return ExecuteWithPlacementImpl(spec, placement, options,
-                                  /*allow_fallback=*/true);
+  DFLOW_ASSIGN_OR_RETURN(
+      compile::ProgramPtr program,
+      CompileUnfused(spec, &placement, options.verify, options));
+  return ExecuteProgram(*program, options);
 }
 
 verify::VerifyReport Engine::VerifyGraphSpec(const verify::GraphSpec& spec) {
@@ -504,336 +448,19 @@ verify::VerifyReport Engine::VerifyGraphSpec(const verify::GraphSpec& spec) {
 Result<verify::VerifyReport> Engine::Verify(const QuerySpec& spec,
                                             const Placement& placement,
                                             const ExecOptions& options) {
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  if (placement.sites.size() != prepared.kinds.size()) {
-    return Status::InvalidArgument("placement does not match query stages");
-  }
   DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
-  // Building a graph schedules nothing and charges no device/link work, so
-  // verification is side-effect free on the fabric.
-  DataflowGraph graph(&fabric_.simulator());
-  DFLOW_ASSIGN_OR_RETURN(
-      BuiltPipeline built,
-      BuildQueryPipeline(this, &fabric_, &graph, spec, prepared, placement,
-                         options, std::move(batches), spec.table));
-  (void)built;
-  return VerifyGraphSpec(graph.Describe());
+      compile::ProgramPtr program,
+      CompileUnfused(spec, &placement, verify::VerifyMode::kWarn, options));
+  return program->verify_stamp();
 }
 
 Result<verify::VerifyReport> Engine::Verify(const QuerySpec& spec,
                                             const ExecOptions& options) {
-  DFLOW_ASSIGN_OR_RETURN(std::vector<RankedPlacement> variants,
-                         PlanVariants(spec));
-  DFLOW_CHECK(!variants.empty());
-  Placement placement = variants.front().placement;
-  for (const RankedPlacement& v : variants) {
-    if (PlacementHealthy(v.placement, options.node)) {
-      placement = v.placement;
-      break;
-    }
-  }
-  return Verify(spec, placement, options);
-}
-
-Result<QueryResult> Engine::ExecuteWithPlacementImpl(const QuerySpec& spec,
-                                                     const Placement& placement,
-                                                     const ExecOptions& options,
-                                                     bool allow_fallback) {
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  if (placement.sites.size() != prepared.kinds.size()) {
-    return Status::InvalidArgument("placement does not match query stages");
-  }
   DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
-
-  if (options.trace.enabled && tracer_ == nullptr) {
-    EnableTracing(options.trace);
-  }
-  if (options.reset_fabric) {
-    fabric_.Reset();
-    // Trace and report describe the same window: the events of this run.
-    if (tracer_ != nullptr) tracer_->Clear();
-  } else {
-    // Chained run: keep the clock and timing state but zero the byte/busy
-    // counters so this run's report counts only its own traffic.
-    fabric_.ResetMetrics();
-  }
-  DataflowGraph graph(&fabric_.simulator());
-  ArmGraph(&graph);
-  DFLOW_TRACE(tracer_.get(),
-              Instant("engine", "engine", "plan_choice",
-                      fabric_.simulator().now(), /*value=*/0, placement.name));
-  DFLOW_ASSIGN_OR_RETURN(
-      BuiltPipeline built,
-      BuildQueryPipeline(this, &fabric_, &graph, spec, prepared, placement,
-                         options, std::move(batches), spec.table));
-  if (options.network_rate_limit_gbps > 0 && built.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(graph.SetEdgeRateLimit(
-        built.net_from, built.net_to, options.network_rate_limit_gbps));
-  }
-  verify::VerifyReport vreport;
-  if (options.verify != verify::VerifyMode::kOff) {
-    vreport = VerifyGraphSpec(graph.Describe());
-    for (const verify::VerifyIssue& issue : vreport.issues) {
-      DFLOW_LOG(Warning) << "verify: " << issue.ToString();
-    }
-    if (options.verify == verify::VerifyMode::kStrict && !vreport.ok()) {
-      return Status::InvalidArgument("plan rejected by static verifier: " +
-                                     vreport.ToString());
-    }
-  }
-  const Status run_status = graph.Run();
-  if (!run_status.ok()) {
-    const std::string dead = graph.failed_device();
-    if (allow_fallback && !dead.empty()) {
-      // Graceful degradation (§7): a processing element died permanently
-      // mid-query. Quarantine it and re-run the traditional CPU-centric
-      // plan, which touches only the media, the links, and the CPU.
-      MarkDeviceUnhealthy(dead);
-      PlacementOptimizer::Input input;
-      input.stages = prepared.descs;
-      input.config = config_;
-      const Placement cpu_only = PlacementOptimizer(input).CpuOnly();
-      const bool dead_is_unavoidable =
-          dead == fabric_.store_media()->name() ||
-          dead == fabric_.node(options.node).cpu->name();
-      if (!dead_is_unavoidable && cpu_only.sites != placement.sites) {
-        ExecOptions retry = options;
-        retry.reset_fabric = true;  // fresh timeline for the recovery run
-        DFLOW_ASSIGN_OR_RETURN(
-            QueryResult result,
-            ExecuteWithPlacementImpl(spec, cpu_only, retry,
-                                     /*allow_fallback=*/false));
-        result.report.fault.cpu_fallback = true;
-        result.report.fault.failed_device = dead;
-        result.report.variant += "(fallback:" + dead + ")";
-        DFLOW_TRACE(tracer_.get(),
-                    Instant("engine", "engine", "cpu_fallback",
-                            fabric_.simulator().now(), /*value=*/0, dead));
-        return result;
-      }
-    }
-    return run_status;
-  }
-
-  QueryResult result;
-  result.chunks = graph.sink_chunks(built.sink);
-  result.report = CollectReport(graph, built.sink, placement.name, stats);
-  result.report.verify = std::move(vreport);
-  return result;
-}
-
-static Result<BuiltPipeline> BuildQueryPipeline(
-    Engine* engine, sim::Fabric* fabric, DataflowGraph* graph,
-    const QuerySpec& spec, const Engine::PreparedQuery& prepared,
-    const Placement& placement, const ExecOptions& options,
-    std::vector<ScanBatch> batches, const std::string& label) {
-  using SK = Engine::PreparedQuery::StageKind;
-  BuiltPipeline built;
-  built.source =
-      graph->AddSource("scan:" + label, fabric->store_media(),
-                       sim::CostClass::kScan, std::move(batches),
-                       prepared.scan_schema);
-
-  // Materialize (kind, site, operator) triples. A partial aggregate placed
-  // on the CPU is dropped and the final aggregate becomes a single-stage
-  // complete aggregate (no point pre-aggregating on the device that also
-  // merges).
-  struct Inst {
-    std::string name;
-    OperatorPtr op;
-    Site site;
-  };
-  std::vector<Inst> stages;
-  Schema current = prepared.scan_schema;
-  Schema partial_schema;
-  bool partial_dropped = false;
-  for (size_t i = 0; i < prepared.kinds.size(); ++i) {
-    const Site site = placement.sites[i];
-    switch (prepared.kinds[i]) {
-      case SK::kDecode: {
-        stages.push_back(
-            Inst{"decode", OperatorPtr(new DecodeOperator(current)), site});
-        break;
-      }
-      case SK::kFilter: {
-        DFLOW_ASSIGN_OR_RETURN(OperatorPtr op,
-                               FilterOperator::Make(prepared.filter, current));
-        stages.push_back(Inst{"filter", std::move(op), site});
-        break;
-      }
-      case SK::kProject: {
-        std::vector<ExprPtr> exprs = prepared.projections;
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr op,
-            ProjectOperator::Make(std::move(exprs), spec.projection_names,
-                                  current));
-        current = op->output_schema();
-        stages.push_back(Inst{"project", std::move(op), site});
-        break;
-      }
-      case SK::kCount: {
-        OperatorPtr op(new CountOperator());
-        current = op->output_schema();
-        stages.push_back(Inst{"count", std::move(op), site});
-        break;
-      }
-      case SK::kPartialAgg: {
-        if (site == Site::kCpu) {
-          partial_dropped = true;
-          break;
-        }
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr op,
-            HashAggregateOperator::Make(current, spec.group_by,
-                                        spec.aggregates, AggMode::kPartial,
-                                        spec.preagg_budget));
-        partial_schema = op->output_schema();
-        current = partial_schema;
-        stages.push_back(Inst{"agg_partial", std::move(op), site});
-        break;
-      }
-      case SK::kFinalAgg: {
-        OperatorPtr op;
-        if (partial_dropped) {
-          DFLOW_ASSIGN_OR_RETURN(
-              op, HashAggregateOperator::Make(current, spec.group_by,
-                                              spec.aggregates,
-                                              AggMode::kComplete));
-        } else {
-          DFLOW_ASSIGN_OR_RETURN(
-              op, HashAggregateOperator::Make(current, spec.group_by,
-                                              MakeMergeSpecs(spec.aggregates),
-                                              AggMode::kFinal));
-        }
-        current = op->output_schema();
-        stages.push_back(Inst{"agg_final", std::move(op), site});
-        break;
-      }
-      case SK::kSort: {
-        DFLOW_ASSIGN_OR_RETURN(
-            OperatorPtr op,
-            SortOperator::Make(current, spec.order_by->column,
-                               spec.order_by->descending,
-                               spec.order_by->limit));
-        stages.push_back(Inst{"sort", std::move(op), site});
-        break;
-      }
-      case SK::kLimit: {
-        stages.push_back(Inst{
-            "limit", OperatorPtr(new LimitOperator(current, spec.limit)),
-            site});
-        break;
-      }
-    }
-  }
-
-  // Optional recompression around the network hop (§3.3): encode at the
-  // last storage-side stage's site, decode right after the network.
-  if (spec.compress_uplink) {
-    size_t last_storage = stages.size();
-    for (size_t i = 0; i < stages.size(); ++i) {
-      if (stages[i].site <= Site::kStorageNic) last_storage = i;
-    }
-    if (last_storage != stages.size()) {
-      const Schema enc_schema = stages[last_storage].op->output_schema();
-      Site dec_site = Site::kCpu;
-      for (size_t i = last_storage + 1; i < stages.size(); ++i) {
-        if (stages[i].site > Site::kStorageNic) {
-          dec_site = stages[i].site;
-          break;
-        }
-      }
-      stages.insert(stages.begin() + last_storage + 1,
-                    Inst{"encode", OperatorPtr(new EncodeOperator(enc_schema)),
-                         stages[last_storage].site});
-      stages.insert(stages.begin() + last_storage + 2,
-                    Inst{"decode2",
-                         OperatorPtr(new DecodeOperator(enc_schema)), dec_site});
-    }
-  }
-
-  // Wire the chain: source -> stages -> sink (client colocated with CPU).
-  const int node = options.node;
-  DataflowGraph::NodeId prev = built.source;
-  int prev_site = -1;  // media, before kStorageProc
-  auto connect = [&](DataflowGraph::NodeId from, DataflowGraph::NodeId to,
-                     int from_site, int to_site) -> Status {
-    std::vector<sim::Link*> path;
-    if (from_site < 0) {
-      path = engine->PathBetween(Site::kStorageProc, static_cast<Site>(to_site),
-                                 node);
-    } else {
-      path = engine->PathBetween(static_cast<Site>(from_site),
-                                 static_cast<Site>(to_site), node);
-    }
-    const bool crosses_network =
-        from_site < static_cast<int>(Site::kComputeNic) &&
-        to_site >= static_cast<int>(Site::kComputeNic);
-    DFLOW_RETURN_NOT_OK(graph->Connect(from, to, std::move(path),
-                                       options.credits));
-    if (crosses_network && !built.has_network_edge) {
-      built.has_network_edge = true;
-      built.net_from = from;
-      built.net_to = to;
-    }
-    return Status::OK();
-  };
-  for (Inst& inst : stages) {
-    const DataflowGraph::NodeId id = graph->AddStage(
-        inst.name + ":" + label, std::move(inst.op),
-        engine->SiteDevice(inst.site, node));
-    DFLOW_RETURN_NOT_OK(
-        connect(prev, id, prev_site, static_cast<int>(inst.site)));
-    prev = id;
-    prev_site = static_cast<int>(inst.site);
-  }
-  built.sink = graph->AddSink("client:" + label);
-  DFLOW_RETURN_NOT_OK(connect(prev, built.sink, prev_site,
-                              static_cast<int>(Site::kCpu)));
-  return built;
-}
-
-Result<Engine::AdmittedPipeline> Engine::BuildServicePipeline(
-    DataflowGraph* graph, const QuerySpec& spec, const Placement& placement,
-    const std::string& label, double rate_limit_gbps) {
-  DFLOW_CHECK(graph != nullptr);
-  DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(spec));
-  if (placement.sites.size() != prepared.kinds.size()) {
-    return Status::InvalidArgument("placement '" + placement.name +
-                                   "' does not match query stages");
-  }
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(prepared.table, prepared.scan_columns,
-                            prepared.filter));
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
-  ArmGraph(graph);
-  ExecOptions options;
-  DFLOW_ASSIGN_OR_RETURN(
-      BuiltPipeline b,
-      BuildQueryPipeline(this, &fabric_, graph, spec, prepared, placement,
-                         options, std::move(batches), label));
-  if (rate_limit_gbps > 0 && b.has_network_edge) {
-    DFLOW_RETURN_NOT_OK(
-        graph->SetEdgeRateLimit(b.net_from, b.net_to, rate_limit_gbps));
-  }
-  AdmittedPipeline admitted;
-  admitted.source = b.source;
-  admitted.sink = b.sink;
-  admitted.has_network_edge = b.has_network_edge;
-  admitted.net_from = b.net_from;
-  admitted.net_to = b.net_to;
-  admitted.variant = placement.name;
-  return admitted;
+      compile::ProgramPtr program,
+      CompileUnfused(spec, /*placement=*/nullptr, verify::VerifyMode::kWarn,
+                     options));
+  return program->verify_stamp();
 }
 
 Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
@@ -851,33 +478,32 @@ Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
   if (!start_offsets_ns.empty() && start_offsets_ns.size() != specs.size()) {
     return Status::InvalidArgument("start offset list length mismatch");
   }
+  // Compile every query before the reset, so the batch's compile-time
+  // trace instants are cleared with the previous run's. The programs skip
+  // per-plan verification: the combined graph is verified once below.
+  std::vector<compile::ProgramPtr> programs;
+  for (size_t q = 0; q < specs.size(); ++q) {
+    DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
+                           CompilePlan(specs[q]));
+    DFLOW_ASSIGN_OR_RETURN(
+        compile::ProgramPtr program,
+        CompileVariant(plan.get(), placements[q], verify::VerifyMode::kOff,
+                       compile::FuseMode::kOff));
+    programs.push_back(std::move(program));
+  }
   fabric_.Reset();
   if (tracer_ != nullptr) tracer_->Clear();
   DataflowGraph graph(&fabric_.simulator());
-  ArmGraph(&graph);
-  std::vector<BuiltPipeline> built;
+  std::vector<AdmittedPipeline> built;
   for (size_t q = 0; q < specs.size(); ++q) {
-    DFLOW_ASSIGN_OR_RETURN(PreparedQuery prepared, Prepare(specs[q]));
-    if (placements[q].sites.size() != prepared.kinds.size()) {
-      return Status::InvalidArgument("placement mismatch for query " +
-                                     std::to_string(q));
-    }
+    const double rate_limit = network_rate_limits_gbps.empty()
+                                  ? 0.0
+                                  : network_rate_limits_gbps[q];
     DFLOW_ASSIGN_OR_RETURN(
-        TableScanSource scan,
-        TableScanSource::Make(prepared.table, prepared.scan_columns,
-                              prepared.filter));
-    DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
-    ExecOptions options;
-    DFLOW_ASSIGN_OR_RETURN(
-        BuiltPipeline b,
-        BuildQueryPipeline(this, &fabric_, &graph, specs[q], prepared,
-                           placements[q], options, std::move(batches),
-                           specs[q].table + "#" + std::to_string(q)));
-    if (!network_rate_limits_gbps.empty() &&
-        network_rate_limits_gbps[q] > 0 && b.has_network_edge) {
-      DFLOW_RETURN_NOT_OK(graph.SetEdgeRateLimit(
-          b.net_from, b.net_to, network_rate_limits_gbps[q]));
-    }
+        AdmittedPipeline b,
+        BuildProgramPipeline(&graph, *programs[q],
+                             specs[q].table + "#" + std::to_string(q),
+                             rate_limit));
     if (!start_offsets_ns.empty() && start_offsets_ns[q] > 0) {
       DFLOW_RETURN_NOT_OK(
           graph.SetSourceStartTime(b.source, start_offsets_ns[q]));
@@ -897,7 +523,7 @@ Result<Engine::ConcurrentResult> Engine::ExecuteConcurrent(
   }
   DFLOW_RETURN_NOT_OK(graph.Run());
   ConcurrentResult result;
-  for (const BuiltPipeline& b : built) {
+  for (const AdmittedPipeline& b : built) {
     result.completion_ns.push_back(graph.sink_finish_time(b.sink));
     uint64_t rows = 0;
     for (const DataChunk& c : graph.sink_chunks(b.sink)) rows += c.num_rows();

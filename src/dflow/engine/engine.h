@@ -137,14 +137,9 @@ class Engine {
   /// Monotone device-health epoch: every MarkDeviceUnhealthy /
   /// ClearDeviceHealth bumps it. Part of the program-cache key, so a
   /// compiled program verified against a stale health registry is never
-  /// served — the key simply stops matching.
+  /// served — the key simply stops matching. A cluster runs one Engine per
+  /// node, so the epoch is per node.
   uint64_t fabric_epoch() const { return fabric_epoch_; }
-  /// Per-compute-node epoch: a health change on a node-scoped device
-  /// ("cnic1", "cpu0", ...) bumps only that node's epoch; a change on a
-  /// shared device (the storage chain has no node suffix) bumps every
-  /// node. Cache keys that carry a node id use this so a crash on node 1
-  /// never invalidates node 0's compiled programs.
-  uint64_t fabric_epoch(int node) const;
   /// True iff every device this placement uses (on `node`) is healthy.
   bool PlacementHealthy(const Placement& placement, int node);
   /// The (deduplicated, ordered) device names this placement runs stages
@@ -153,15 +148,16 @@ class Engine {
                                             int node);
 
   // --------------------------------------------------- static verification
-  /// Statically checks the graph the engine would build for (spec,
-  /// placement) — structure, schema flow, credit safety, placement legality
-  /// — without executing it (no simulation events, no fabric state change).
-  /// Returns the diagnostics; callers decide whether errors are fatal.
+  /// Statically checks the graph Execute would build for (spec, placement)
+  /// — structure, schema flow, credit safety, placement legality — without
+  /// executing it (no simulation events, no fabric state change). It is
+  /// the verifier stamp of the unfused program compiled in kWarn mode, so
+  /// callers decide whether errors are fatal.
   Result<verify::VerifyReport> Verify(
       const QuerySpec& spec, const Placement& placement,
       const ExecOptions& options = ExecOptions());
 
-  /// Same, for the placement Execute would auto-choose.
+  /// Same, for the placement Execute would choose under `options`.
   Result<verify::VerifyReport> Verify(
       const QuerySpec& spec, const ExecOptions& options = ExecOptions());
 
@@ -170,7 +166,10 @@ class Engine {
   /// fabric topology, device-health registry, and fault injector.
   verify::VerifyReport VerifyGraphSpec(const verify::GraphSpec& spec);
 
-  /// Runs a query on the data-flow architecture.
+  /// Runs a query on the data-flow architecture: compiles the unfused
+  /// program for the chosen placement with the caller's verify mode, node
+  /// and credits, then ExecuteProgram. ExecMode::kParallel dispatches to
+  /// the morsel executor instead.
   Result<QueryResult> Execute(const QuerySpec& spec,
                               const ExecOptions& options = ExecOptions());
 
@@ -183,14 +182,15 @@ class Engine {
 
   /// Back half: lowers one chosen variant of `plan` into an immutable
   /// DflowProgram (opcode list with literal parameter slots, schema table,
-  /// placement, credit layout, precomputed demand vector, verifier stamp),
-  /// runs the fusion pass per `fuse`, verifies the lowered graph once, and
-  /// records the program in `plan->programs`. Strict mode refuses to
-  /// produce a program whose stamp has errors.
+  /// placement, `credits` per edge, precomputed demand vector, verifier
+  /// stamp), runs the fusion pass per `fuse`, verifies the lowered graph
+  /// once, and records the program in `plan->programs`. Strict mode refuses
+  /// to produce a program whose stamp has errors.
   Result<compile::ProgramPtr> CompileVariant(
       compile::CompiledQuery* plan, const Placement& placement,
       verify::VerifyMode mode = verify::DefaultMode(),
-      compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0);
+      compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0,
+      uint32_t credits = ExecOptions().credits);
 
   /// One-shot convenience: CompilePlan, resolve `choice` to a placement
   /// (healthy-first for kAuto, the forced extreme otherwise), CompileVariant.
@@ -199,21 +199,21 @@ class Engine {
       verify::VerifyMode mode = verify::DefaultMode(),
       compile::FuseMode fuse = compile::DefaultFuseMode(), int node = 0);
 
-  /// Executes a compiled program on the simulated fabric. No planning, no
-  /// placement enumeration, no re-verification — the program's embedded
-  /// stamp and its epoch key already cover those. Keeps the engine's
-  /// crash-fallback semantics: if a device dies permanently mid-run, the
-  /// CPU-only variant is compiled (a recompile, not a re-plan) and re-run.
+  /// Executes a compiled program on the simulated fabric. No placement
+  /// choice, no re-verification — the program's embedded stamp and its
+  /// epoch key already cover those. If a device dies permanently mid-run,
+  /// the device is quarantined and the CPU-only variant is compiled with
+  /// the program's fuse mode and credits, then re-run.
   Result<QueryResult> ExecuteProgram(const compile::DflowProgram& program,
                                      const ExecOptions& options =
                                          ExecOptions());
 
-  /// The placement Execute would pick for `choice` (kAuto: best healthy
-  /// variant; kCpuOnly / kFullOffload: the forced extreme). Exposed so the
-  /// serving layer and the scheduler resolve plan variants without
-  /// executing anything.
-  Result<Placement> ChoosePlacement(const QuerySpec& spec,
-                                    PlacementChoice choice, int node = 0);
+  /// The placement `choice` resolves to in a compiled plan (kAuto: best
+  /// variant whose devices on `node` are all healthy, else the best;
+  /// kCpuOnly / kFullOffload: the forced extreme). Exposed so the scheduler
+  /// resolves plan variants without executing anything.
+  Placement ChoosePlacement(const compile::CompiledQuery& plan,
+                            PlacementChoice choice, int node = 0);
 
   // --------------------------------------------------------- serving hooks
   /// One query pipeline admitted into an externally-owned graph (the
@@ -228,20 +228,11 @@ class Engine {
     std::string variant;  // placement name
   };
 
-  /// Builds (spec, placement) into `graph`, which must run on this
-  /// engine's fabric simulator. Arms the graph with the engine's fault
-  /// injector and tracer, and applies `rate_limit_gbps` to the pipeline's
-  /// network edge (0 = uncapped). Launching and draining the simulator
-  /// stay with the caller — see DataflowGraph::Launch.
-  Result<AdmittedPipeline> BuildServicePipeline(DataflowGraph* graph,
-                                                const QuerySpec& spec,
-                                                const Placement& placement,
-                                                const std::string& label,
-                                                double rate_limit_gbps = 0.0);
-
-  /// BuildServicePipeline's warm-path twin: builds `program` into an
-  /// externally-owned graph without Prepare or re-verification. Launching
-  /// stays with the caller.
+  /// Builds `program` into `graph`, which must run on this engine's fabric
+  /// simulator, without re-verification. Arms the graph with the engine's
+  /// fault injector and tracer, and applies `rate_limit_gbps` to the
+  /// pipeline's network edge (0 = uncapped). Launching and draining the
+  /// simulator stay with the caller — see DataflowGraph::Launch.
   Result<AdmittedPipeline> BuildProgramPipeline(
       DataflowGraph* graph, const compile::DflowProgram& program,
       const std::string& label, double rate_limit_gbps = 0.0);
@@ -256,8 +247,9 @@ class Engine {
   Result<std::vector<RankedPlacement>> PlanVariants(
       const QuerySpec& spec) const;
 
-  /// Runs several queries concurrently on the shared fabric, one pipeline
-  /// each. `placements[i]` chooses query i's variant;
+  /// Runs several queries concurrently on the shared fabric, one unfused
+  /// program pipeline each (BuildProgramPipeline), verified once as a
+  /// combined graph. `placements[i]` chooses query i's variant;
   /// `network_rate_limits_gbps` (same length, or empty) caps each query's
   /// network DMA, and `start_offsets_ns` (same length, or empty) delays
   /// each query's admission to the given virtual time — the batch
@@ -284,8 +276,9 @@ class Engine {
                                             size_t pool_pages,
                                             int repeats = 1);
 
-  // Implementation helpers exposed for the pipeline builder (and useful to
-  // power users assembling custom graphs on the engine's fabric).
+  // Implementation helpers exposed for the program compiler and the
+  // parallel runner (and useful to power users assembling custom graphs on
+  // the engine's fabric).
   struct PreparedQuery {
     enum class StageKind {
       kDecode,
@@ -323,10 +316,18 @@ class Engine {
                                       const ExecOptions& options);
   Result<JoinRunResult> ExecuteParallelJoin(const JoinSpec& spec,
                                             const ExecOptions& options);
-  Result<PlacementOptimizer::Input> MakeOptimizerInput(
-      const QuerySpec& spec, const PreparedQuery& prepared,
-      uint64_t encoded_bytes, uint64_t decoded_bytes,
-      size_t num_batches) const;
+  /// Prepare, scan sizing and placement enumeration — the spec-only
+  /// planning PlanVariants and CompilePlan share. Fills `plan`'s ranked
+  /// variants and its forced extremes.
+  Status EnumerateVariants(const QuerySpec& spec,
+                           compile::CompiledQuery* plan) const;
+  /// CompilePlan + CompileVariant of the unfused program with `options`'
+  /// node and credits: `placement`, or the one options.placement chooses
+  /// when null. What Execute, ExecuteWithPlacement and Verify run.
+  Result<compile::ProgramPtr> CompileUnfused(const QuerySpec& spec,
+                                             const Placement* placement,
+                                             verify::VerifyMode mode,
+                                             const ExecOptions& options);
   ExecutionReport CollectReport(const DataflowGraph& graph,
                                 DataflowGraph::NodeId sink,
                                 const std::string& variant,
@@ -334,10 +335,6 @@ class Engine {
   /// Attaches the active injector and recovery policy to a graph (no-op
   /// when fault injection is off).
   void ArmGraph(DataflowGraph* graph);
-  Result<QueryResult> ExecuteWithPlacementImpl(const QuerySpec& spec,
-                                               const Placement& placement,
-                                               const ExecOptions& options,
-                                               bool allow_fallback);
 
   sim::FabricConfig config_;
   sim::Fabric fabric_;
@@ -348,8 +345,6 @@ class Engine {
   RecoveryPolicy recovery_policy_;
   std::set<std::string> unhealthy_;
   uint64_t fabric_epoch_ = 0;
-  /// Indexed by compute node; grown lazily (see fabric_epoch(int)).
-  std::vector<uint64_t> node_epochs_;
 
   /// Program lowering + graph construction from bytecode live in
   /// src/dflow/compile/compiler.cc.

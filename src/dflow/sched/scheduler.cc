@@ -4,6 +4,7 @@
 #include <array>
 
 #include "dflow/common/logging.h"
+#include "dflow/compile/program_cache.h"
 
 namespace dflow {
 
@@ -152,13 +153,11 @@ Result<IncrementalDecision> Scheduler::PlanOne(const QuerySpec& spec,
                                                PlacementChoice choice,
                                                const PlacementFilter& filter)
     const {
-  DFLOW_ASSIGN_OR_RETURN(std::vector<RankedPlacement> variants,
-                         engine_->PlanVariants(spec));
-  Placement forced;
-  if (choice != PlacementChoice::kAuto) {
-    DFLOW_ASSIGN_OR_RETURN(forced, engine_->ChoosePlacement(spec, choice));
-  }
-  return PlanFromVariants(variants, forced, committed, choice, filter);
+  DFLOW_ASSIGN_OR_RETURN(std::shared_ptr<compile::CompiledQuery> plan,
+                         engine_->CompilePlan(spec));
+  return PlanFromVariants(plan->variants,
+                          engine_->ChoosePlacement(*plan, choice), committed,
+                          choice, filter);
 }
 
 Result<IncrementalDecision> Scheduler::PlanFromVariants(

@@ -312,15 +312,14 @@ Status ServiceLoop::StartQuery(
   }
 
   // Program-cache admission (compile once, serve millions): look the plan
-  // up under (fingerprint, fabric epoch, verifier version, node). The
-  // epoch is node-scoped — the serving loop launches on compute node 0,
-  // and a health change confined to another node must not invalidate this
-  // node's programs.
-  constexpr int kServeNode = 0;
-  program_cache_.InvalidateStaleEpochs(engine_->fabric_epoch(kServeNode));
+  // up under (fingerprint, fabric epoch, verifier version). The serving
+  // loop launches on compute node 0; a cluster runs one engine (and one
+  // epoch) per node, so another node's health change never strands these
+  // programs.
+  program_cache_.InvalidateStaleEpochs(engine_->fabric_epoch());
   const compile::CacheKey key{FingerprintQuerySpec(tmpl.spec),
-                              engine_->fabric_epoch(kServeNode),
-                              verify::kVerifierVersion, kServeNode};
+                              engine_->fabric_epoch(),
+                              verify::kVerifierVersion};
   std::shared_ptr<compile::CompiledQuery> plan = program_cache_.Lookup(key);
   bool fresh_plan = false;
   if (plan == nullptr) {

@@ -39,12 +39,12 @@ struct DiffOptions {
   /// scheduling. (fuzz_plans --parallel, default on)
   bool real_parallel = true;
   std::vector<uint32_t> parallel_worker_counts = {1, 2, 8};
-  /// Adds the "compiled" lanes: the case is lowered to a DflowProgram
-  /// (Engine::Compile, strict verification at compile time) and executed
-  /// via Engine::ExecuteProgram — auto placement, CPU-only, a fusion-off
-  /// cross-check, and (with sample_faults) a fault-schedule run. Every
-  /// lane's fingerprint must match the Volcano reference, proving the
-  /// compiled admission path is result-identical to interpretation.
+  /// Adds the "compiled" lanes: the case is lowered to a fused
+  /// DflowProgram (Engine::Compile, strict verification at compile time)
+  /// and executed via Engine::ExecuteProgram — auto placement, CPU-only, a
+  /// fusion-off cross-check, and (with sample_faults) a fault-schedule run.
+  /// Every lane's fingerprint must match the Volcano reference, proving
+  /// fused programs are result-identical to the unfused ones Execute runs.
   /// (fuzz_plans --compiled, default on)
   bool compiled = true;
   /// Adds the "chaos-serve" lane: the query is served repeatedly through a

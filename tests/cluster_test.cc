@@ -3,9 +3,9 @@
 // stable codes), hash-shuffle partitioner properties, distributed-vs-
 // single-node equivalence, fault paths (node loss mid-shuffle, cancel
 // mid-broadcast, retry exhaustion) with the credit ledger balanced after
-// every outcome, deterministic straggler detection, and the per-node
-// fabric-epoch / cache-key scoping that keeps one node's crash from
-// stranding another node's compiled programs.
+// every outcome, deterministic straggler detection, and the per-engine
+// fabric epochs that keep one node's crash from stranding another node's
+// compiled programs.
 
 #include <gtest/gtest.h>
 
@@ -17,7 +17,6 @@
 #include "dflow/cluster/cluster_serve.h"
 #include "dflow/cluster/exchange.h"
 #include "dflow/cluster/router.h"
-#include "dflow/compile/program_cache.h"
 #include "dflow/plan/expr.h"
 #include "dflow/testing/canonical.h"
 #include "dflow/verify/xchg.h"
@@ -344,7 +343,7 @@ TEST(DistributedEquivalence, GroupedAggregateMatchesSingleNode) {
 TEST(DistributedEquivalence, RunsAreByteDeterministic) {
   // Two fresh clusters, same seed: identical makespan, identical exchange
   // counters, identical fingerprint. This is the property the CI
-  // cluster-smoke byte-identical report gate rests on.
+  // serve-smoke (cluster row) byte-identical report gate rests on.
   auto run = [] {
     auto cl = MakeTestCluster(3);
     QueryRouter router(cl.get(), {});
@@ -478,56 +477,9 @@ TEST(ClusterFaults, LedgerChargesBalanceReleases) {
   EXPECT_EQ(router.ledger_charges(), router.ledger_releases());
 }
 
-// --------------------------------------- per-node epochs and cache keys
+// ------------------------------------------------------- per-node epochs
 
-TEST(NodeEpochs, NodeScopedDeviceBumpsOnlyItsNode) {
-  sim::FabricConfig config;
-  config.num_compute_nodes = 2;
-  Engine engine(config);
-  EXPECT_EQ(engine.fabric_epoch(0), 0u);
-  EXPECT_EQ(engine.fabric_epoch(1), 0u);
-
-  engine.MarkDeviceUnhealthy("cnic1");  // node-1-scoped device
-  EXPECT_EQ(engine.fabric_epoch(0), 0u);
-  EXPECT_EQ(engine.fabric_epoch(1), 1u);
-  EXPECT_EQ(engine.fabric_epoch(), 1u);  // the aggregate epoch still moves
-
-  // A shared device (the storage chain carries no node suffix) bumps
-  // every node: nobody may serve programs compiled against the old chain.
-  engine.MarkDeviceUnhealthy("ssd");
-  EXPECT_EQ(engine.fabric_epoch(0), 1u);
-  EXPECT_EQ(engine.fabric_epoch(1), 2u);
-
-  // Clearing health is also a fabric change, for every node.
-  engine.ClearDeviceHealth();
-  EXPECT_EQ(engine.fabric_epoch(0), 2u);
-  EXPECT_EQ(engine.fabric_epoch(1), 3u);
-}
-
-TEST(NodeEpochs, OutOfRangeNodeFallsBackToAggregateEpoch) {
-  Engine engine{sim::FabricConfig()};
-  engine.MarkDeviceUnhealthy("cpu0");
-  EXPECT_EQ(engine.fabric_epoch(-1), engine.fabric_epoch());
-  EXPECT_EQ(engine.fabric_epoch(99), engine.fabric_epoch());
-}
-
-TEST(NodeEpochs, CacheKeyDistinguishesNodes) {
-  // Same program, same epoch, different node: distinct cache entries —
-  // node 1's crash must not evict or serve node 0's compiled programs.
-  compile::CacheKey a{/*plan_fingerprint=*/7, /*fabric_epoch=*/1,
-                      /*verifier_version=*/1, /*node=*/0};
-  compile::CacheKey b = a;
-  b.node = 1;
-  EXPECT_TRUE(a < b);
-  EXPECT_FALSE(b < a);
-  std::map<compile::CacheKey, int> entries;
-  entries[a] = 10;
-  entries[b] = 11;
-  EXPECT_EQ(entries.size(), 2u);
-  EXPECT_EQ(entries[a], 10);
-  EXPECT_EQ(entries[b], 11);
-}
-
+// One engine per cluster node, so fabric_epoch() is already per node.
 TEST(NodeEpochs, LostClusterNodeBumpsOnlyItsEngine) {
   auto cl = MakeTestCluster(3);
   const uint64_t before0 = cl->node(0).fabric_epoch();

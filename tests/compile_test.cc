@@ -117,12 +117,12 @@ class CompileTest : public ::testing::Test {
     return testing::CanonicalizeChunks(result.ValueOrDie().chunks).fingerprint;
   }
 
-  std::string RunInterpretedFingerprint(const QuerySpec& spec) {
-    ExecOptions options;
-    options.verify = verify::VerifyMode::kStrict;
-    auto result = engine_->Execute(spec, options);
+  // The independent oracle: the conventional (Volcano) engine.
+  std::string RunVolcanoFingerprint(const QuerySpec& spec) {
+    auto result = engine_->ExecuteOnVolcano(spec, /*pool_pages=*/256);
     DFLOW_CHECK(result.ok());
-    return testing::CanonicalizeChunks(result.ValueOrDie().chunks).fingerprint;
+    return testing::CanonicalizeVolcanoRows(result.ValueOrDie().rows)
+        .fingerprint;
   }
 
   std::unique_ptr<Engine> engine_;
@@ -198,12 +198,12 @@ TEST_F(CompileTest, StrictCompileEmbedsCleanVerifyStamp) {
 
 // --------------------------------------------------- result equivalence --
 
-// Fused and unfused programs — and the interpreted engine — must agree on
+// Fused and unfused programs must agree with the Volcano reference on
 // every catalogue plan, at auto placement and forced CPU-only.
-TEST_F(CompileTest, FusedUnfusedAndInterpretedResultsAgree) {
+TEST_F(CompileTest, FusedAndUnfusedResultsAgree) {
   for (const CataloguedPlan& plan : BuildCatalogue()) {
     SCOPED_TRACE(plan.name);
-    const std::string reference = RunInterpretedFingerprint(plan.spec);
+    const std::string reference = RunVolcanoFingerprint(plan.spec);
     for (PlacementChoice choice :
          {PlacementChoice::kAuto, PlacementChoice::kCpuOnly}) {
       ProgramPtr fused = MustCompile(plan.spec, choice, FuseMode::kOn);

@@ -174,10 +174,12 @@ TEST_F(EquivalenceTest, VolcanoMatchesDataflow) {
 TEST_F(EquivalenceTest, CreditBudgetNeverChangesResults) {
   const QuerySpec spec = QueryZoo()[2];  // group-by
   std::vector<std::string> reference;
+  std::map<uint32_t, uint64_t> peak_queue_bytes;
   for (uint32_t credits : {1u, 2u, 7u, 64u}) {
     ExecOptions options;
     options.credits = credits;
     auto result = engine_->Execute(spec, options).ValueOrDie();
+    peak_queue_bytes[credits] = result.report.peak_queue_bytes;
     auto rows = Canonical(result.chunks);
     if (reference.empty()) {
       reference = std::move(rows);
@@ -185,6 +187,9 @@ TEST_F(EquivalenceTest, CreditBudgetNeverChangesResults) {
       EXPECT_EQ(rows, reference) << "credits=" << credits;
     }
   }
+  // The budget must actually reach the graph's edges: a tighter window
+  // buffers less.
+  EXPECT_LT(peak_queue_bytes[1], peak_queue_bytes[64]);
 }
 
 TEST_F(EquivalenceTest, CompressionNeverChangesResults) {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "dflow/compile/program_cache.h"
 #include "dflow/engine/engine.h"
 #include "dflow/exec/local_executor.h"
 #include "dflow/sched/scheduler.h"
@@ -259,6 +260,50 @@ TEST_F(FaultTest, AcceleratorCrashFallsBackToCpu) {
             degraded.chunks[0].GetValue(0, 0).double_value());
   EXPECT_EQ(clean.chunks[0].GetValue(0, 1).int64_value(),
             degraded.chunks[0].GetValue(0, 1).int64_value());
+}
+
+// The CPU-only fallback is recompiled with the failing program's fuse mode
+// and credits: an unfused credits=2 program must not degrade into a fused
+// 8-credit graph.
+TEST_F(FaultTest, FallbackKeepsProgramFuseModeAndCredits) {
+  const QuerySpec spec = Q6Like();
+  auto plan = engine_.CompilePlan(spec).ValueOrDie();
+  auto program =
+      engine_
+          .CompileVariant(plan.get(), plan->full_offload,
+                          verify::VerifyMode::kStrict, compile::FuseMode::kOff,
+                          /*node=*/0, /*credits=*/2)
+          .ValueOrDie();
+  auto cpu_only =
+      engine_
+          .CompileVariant(plan.get(), plan->cpu_only,
+                          verify::VerifyMode::kStrict, compile::FuseMode::kOff,
+                          /*node=*/0, /*credits=*/2)
+          .ValueOrDie();
+
+  sim::FaultConfig config;
+  engine_.EnableFaultInjection(config);
+  engine_.fault_injector()->CrashDeviceAt("storage_proc", 1'000'000);
+  ExecOptions options;
+  options.trace.enabled = true;
+  auto degraded = engine_.ExecuteProgram(*program, options).ValueOrDie();
+  ASSERT_TRUE(degraded.report.fault.cpu_fallback);
+
+  // The trace covers the recovery run only: none of its stages is fused.
+  size_t stage_events = 0;
+  for (const trace::TraceEvent& e : engine_.tracer()->Events()) {
+    if (e.category != "stage") continue;
+    ++stage_events;
+    EXPECT_EQ(e.track.find("fused("), std::string::npos) << e.track;
+  }
+  EXPECT_GT(stage_events, 0u);
+
+  // Its edges carry 2 credits: the recovery run is exactly the unfused
+  // credits=2 CPU-only program run directly.
+  auto direct = engine_.ExecuteProgram(*cpu_only, options).ValueOrDie();
+  EXPECT_EQ(degraded.report.sim_ns, direct.report.sim_ns);
+  EXPECT_EQ(degraded.report.peak_queue_bytes, direct.report.peak_queue_bytes);
+  EXPECT_EQ(TotalRows(degraded.chunks), TotalRows(direct.chunks));
 }
 
 TEST_F(FaultTest, AutoPlacementAvoidsDeadDevice) {

@@ -2,6 +2,7 @@
 
 #include <cmath>
 
+#include "dflow/compile/program_cache.h"
 #include "dflow/sched/scheduler.h"
 #include "dflow/workload/tpch_like.h"
 
@@ -173,9 +174,8 @@ TEST_F(SchedTest, PlanOneForcedExtremesResolveAndCost) {
   EXPECT_EQ(cpu.rationale, "forced cpu-only");
   EXPECT_EQ(off.rationale, "forced full-offload");
   EXPECT_NE(cpu.placement.sites, off.placement.sites);
-  auto chosen_cpu =
-      engine_.ChoosePlacement(Heavy(0.3), PlacementChoice::kCpuOnly)
-          .ValueOrDie();
+  auto plan = engine_.CompilePlan(Heavy(0.3)).ValueOrDie();
+  auto chosen_cpu = engine_.ChoosePlacement(*plan, PlacementChoice::kCpuOnly);
   EXPECT_EQ(cpu.placement.sites, chosen_cpu.sites);
   // The CPU plan pulls the scanned bytes across the uplink; the offloaded
   // plan ships only the aggregate.
