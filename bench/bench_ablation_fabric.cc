@@ -21,12 +21,16 @@ namespace {
 constexpr uint64_t kRows = 300'000;
 
 Engine& EngineWithConfig(const sim::FabricConfig& config) {
+  // Every fabric config scans the same immutable table, so it is generated
+  // (and encoded, and zone-mapped) once and shared by each new engine.
+  static const std::shared_ptr<Table> table = [] {
+    LineitemSpec spec;
+    spec.rows = kRows;
+    return MakeLineitemTable(spec).ValueOrDie();
+  }();
   static std::unique_ptr<Engine> engine;
   engine = std::make_unique<Engine>(config);
-  LineitemSpec spec;
-  spec.rows = kRows;
-  DFLOW_CHECK(
-      engine->catalog().Register(MakeLineitemTable(spec).ValueOrDie()).ok());
+  DFLOW_CHECK(engine->catalog().Register(table).ok());
   MaybeEnableBenchTracing(*engine);
   return *engine;
 }

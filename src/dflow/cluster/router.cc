@@ -325,9 +325,9 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
             HashAggregateOperator::Make(*in_schema, spec.group_by,
                                         spec.aggregates, AggMode::kPartial));
         partial_schema = agg->output_schema();
-        DFLOW_ASSIGN_OR_RETURN(partial[i],
-                               RunLocalPipeline(local[i], {agg.get()}));
         ready[i] += TotalRows(local[i]) * kClusterOpNsPerRow;
+        DFLOW_ASSIGN_OR_RETURN(
+            partial[i], RunLocalPipeline(std::move(local[i]), {agg.get()}));
       }
       const std::vector<AggSpec> merge_specs = MakeMergeSpecs(spec.aggregates);
       if (grouped) {
@@ -349,11 +349,12 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
               OperatorPtr fin,
               HashAggregateOperator::Make(partial_schema, spec.group_by,
                                           merge_specs, AggMode::kFinal));
-          DFLOW_ASSIGN_OR_RETURN(
-              merged[i], RunLocalPipeline(xr.received[i], {fin.get()}));
           merged_ready[i] =
               xr.done_ns[i] +
               TotalRows(xr.received[i]) * kClusterOpNsPerRow;
+          DFLOW_ASSIGN_OR_RETURN(
+              merged[i],
+              RunLocalPipeline(std::move(xr.received[i]), {fin.get()}));
           task.state = TaskInfo::State::kDone;
           result.tasks.push_back(std::move(task));
         }
@@ -380,12 +381,12 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
             OperatorPtr fin,
             HashAggregateOperator::Make(partial_schema, spec.group_by,
                                         merge_specs, AggMode::kFinal));
-        DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                               RunLocalPipeline(xr.received[coord],
-                                                {fin.get()}));
         result.makespan_ns =
             xr.done_ns[coord] +
             TotalRows(xr.received[coord]) * kClusterOpNsPerRow;
+        DFLOW_ASSIGN_OR_RETURN(
+            result.chunks,
+            RunLocalPipeline(std::move(xr.received[coord]), {fin.get()}));
       }
     }
   } else {
@@ -428,7 +429,7 @@ Result<DistributedResult> QueryRouter::ExecuteQuery(const QuerySpec& spec) {
       }
       const uint64_t sorted_rows = TotalRows(result.chunks);
       DFLOW_ASSIGN_OR_RETURN(result.chunks,
-                             RunLocalPipeline(result.chunks, ops));
+                             RunLocalPipeline(std::move(result.chunks), ops));
       result.makespan_ns += sorted_rows * kClusterOpNsPerRow;
     }
   }
@@ -610,11 +611,12 @@ Result<DistributedResult> QueryRouter::ExecuteJoin(const JoinSpec& spec) {
         OperatorPtr probe_op,
         HashJoinProbeOperator::Make(table, probe_schema, probe_key));
     CountOperator count_op;
-    DFLOW_ASSIGN_OR_RETURN(
-        std::vector<DataChunk> count_chunks,
-        RunLocalPipeline(px.received[i], {probe_op.get(), &count_op}));
     const uint64_t local_work =
         table->num_rows() + TotalRows(px.received[i]);
+    DFLOW_ASSIGN_OR_RETURN(
+        std::vector<DataChunk> count_chunks,
+        RunLocalPipeline(std::move(px.received[i]),
+                         {probe_op.get(), &count_op}));
     count_ready[i] = std::max(bx.done_ns[i], px.done_ns[i]) +
                      local_work * kClusterOpNsPerRow;
     counts[i] = std::move(count_chunks);

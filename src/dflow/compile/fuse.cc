@@ -90,25 +90,24 @@ Result<OperatorPtr> FusedOperator::Make(std::vector<OperatorPtr> inner) {
   return OperatorPtr(new FusedOperator(std::move(inner)));
 }
 
-Status FusedOperator::RunFrom(size_t from, const DataChunk& chunk,
+Status FusedOperator::RunFrom(size_t from, DataChunk chunk,
                               std::vector<DataChunk>* out) {
   if (from == inner_.size()) {
     RecordOut(chunk);
-    out->push_back(chunk);
+    out->push_back(std::move(chunk));
     return Status::OK();
   }
   std::vector<DataChunk> produced;
-  DFLOW_RETURN_NOT_OK(inner_[from]->Push(chunk, &produced));
-  for (const DataChunk& c : produced) {
-    DFLOW_RETURN_NOT_OK(RunFrom(from + 1, c, out));
+  DFLOW_RETURN_NOT_OK(inner_[from]->Push(std::move(chunk), &produced));
+  for (DataChunk& c : produced) {
+    DFLOW_RETURN_NOT_OK(RunFrom(from + 1, std::move(c), out));
   }
   return Status::OK();
 }
 
-Status FusedOperator::Push(const DataChunk& input,
-                           std::vector<DataChunk>* out) {
+Status FusedOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   RecordIn(input);
-  return RunFrom(0, input, out);
+  return RunFrom(0, std::move(input), out);
 }
 
 Status FusedOperator::Finish(std::vector<DataChunk>* out) {
@@ -118,8 +117,8 @@ Status FusedOperator::Finish(std::vector<DataChunk>* out) {
   for (size_t i = 0; i < inner_.size(); ++i) {
     std::vector<DataChunk> flushed;
     DFLOW_RETURN_NOT_OK(inner_[i]->Finish(&flushed));
-    for (const DataChunk& c : flushed) {
-      DFLOW_RETURN_NOT_OK(RunFrom(i + 1, c, out));
+    for (DataChunk& c : flushed) {
+      DFLOW_RETURN_NOT_OK(RunFrom(i + 1, std::move(c), out));
     }
   }
   return Status::OK();

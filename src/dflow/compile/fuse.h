@@ -46,7 +46,7 @@ class FusedOperator : public Operator {
     return inner_.front()->input_schema();
   }
   OperatorTraits traits() const override { return traits_; }
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
   uint64_t OutputWireBytes(const DataChunk& output) const override {
     return inner_.back()->OutputWireBytes(output);
@@ -56,9 +56,8 @@ class FusedOperator : public Operator {
   explicit FusedOperator(std::vector<OperatorPtr> inner);
 
   /// Pushes `chunk` through inner operators [from, end), appending the
-  /// survivors to `out`.
-  Status RunFrom(size_t from, const DataChunk& chunk,
-                 std::vector<DataChunk>* out);
+  /// survivors to `out`. Every hop moves its chunk on.
+  Status RunFrom(size_t from, DataChunk chunk, std::vector<DataChunk>* out);
 
   std::vector<OperatorPtr> inner_;
   std::string name_;

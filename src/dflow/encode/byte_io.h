@@ -32,6 +32,8 @@ class ByteWriter {
   void PutDouble(double v) { PutRaw(v); }
 
   void PutBytes(const void* data, size_t len) {
+    // An empty source may be a null pointer, which memcpy must never get.
+    if (len == 0) return;
     const size_t offset = out_->size();
     out_->resize(offset + len);
     std::memcpy(out_->data() + offset, data, len);
@@ -75,6 +77,8 @@ class ByteReader {
   }
 
   Status GetBytes(void* out, size_t len) {
+    // As in PutBytes: an empty destination may be a null pointer.
+    if (len == 0) return Status::OK();
     if (remaining() < len) {
       return Status::OutOfRange("ByteReader: truncated input");
     }

@@ -6,6 +6,58 @@
 
 namespace dflow {
 
+namespace {
+
+/// `Value::Compare(col.GetValue(row), v)` without boxing the column slot.
+/// `v` is NULL or has the column's physical type: group keys and MIN/MAX
+/// accumulators are only ever taken from the same input column.
+int CompareSlot(const ColumnVector& col, size_t row, const Value& v) {
+  const bool slot_null = !col.IsValid(row);
+  if (slot_null || v.is_null()) {
+    return slot_null == v.is_null() ? 0 : (slot_null ? -1 : 1);
+  }
+  switch (col.type()) {
+    case DataType::kBool:
+      return (col.bool_data()[row] != 0 ? 1 : 0) - (v.bool_value() ? 1 : 0);
+    case DataType::kInt32:
+    case DataType::kDate32: {
+      const int32_t a = col.i32()[row];
+      const int32_t b = v.int32_value();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    case DataType::kInt64: {
+      const int64_t a = col.i64()[row];
+      const int64_t b = v.int64_value();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    case DataType::kDouble: {
+      // NaN compares equal to everything, exactly as Value::Compare does.
+      const double a = col.f64()[row];
+      const double b = v.double_value();
+      return a < b ? -1 : (a > b ? 1 : 0);
+    }
+    case DataType::kString:
+      return col.strs()[row].compare(v.string_value());
+  }
+  return 0;
+}
+
+/// `col.GetValue(row).AsInt64()` of a non-NULL slot; integer columns are
+/// read without boxing.
+int64_t Int64At(const ColumnVector& col, size_t row) {
+  switch (col.type()) {
+    case DataType::kInt32:
+    case DataType::kDate32:
+      return col.i32()[row];
+    case DataType::kInt64:
+      return col.i64()[row];
+    default:
+      return col.GetValue(row).AsInt64();
+  }
+}
+
+}  // namespace
+
 std::string_view AggFuncToString(AggFunc func) {
   switch (func) {
     case AggFunc::kCount:
@@ -121,20 +173,24 @@ OperatorTraits HashAggregateOperator::traits() const {
   return t;
 }
 
-size_t HashAggregateOperator::FindOrCreateGroup(const DataChunk& input,
-                                                size_t row, uint64_t hash) {
-  std::vector<size_t>& bucket = table_[hash];
-  for (size_t gid : bucket) {
-    bool match = true;
-    for (size_t k = 0; k < group_cols_.size(); ++k) {
-      if (groups_[gid].keys[k].Compare(input.GetValue(row, group_cols_[k])) !=
-          0) {
-        match = false;
-        break;
-      }
+size_t HashAggregateOperator::FindGroup(const DataChunk& input, size_t row,
+                                        uint64_t hash) const {
+  const auto bucket = table_.find(hash);
+  if (bucket == table_.end()) return groups_.size();
+  for (size_t gid : bucket->second) {
+    const std::vector<Value>& keys = groups_[gid].keys;
+    size_t k = 0;
+    while (k < group_cols_.size() &&
+           CompareSlot(input.column(group_cols_[k]), row, keys[k]) == 0) {
+      ++k;
     }
-    if (match) return gid;
+    if (k == group_cols_.size()) return gid;
   }
+  return groups_.size();
+}
+
+size_t HashAggregateOperator::CreateGroup(const DataChunk& input, size_t row,
+                                          uint64_t hash) {
   Group g;
   g.keys.reserve(group_cols_.size());
   for (size_t col : group_cols_) {
@@ -142,11 +198,11 @@ size_t HashAggregateOperator::FindOrCreateGroup(const DataChunk& input,
   }
   g.accs.resize(specs_.size());
   groups_.push_back(std::move(g));
-  bucket.push_back(groups_.size() - 1);
+  table_[hash].push_back(groups_.size() - 1);
   return groups_.size() - 1;
 }
 
-Status HashAggregateOperator::Push(const DataChunk& input,
+Status HashAggregateOperator::Push(DataChunk input,
                                    std::vector<DataChunk>* out) {
   RecordIn(input);
   return UpdateGroups(input, out);
@@ -169,29 +225,14 @@ Status HashAggregateOperator::UpdateGroups(const DataChunk& input,
     // the table (rather than flushing everything) keeps recently-hot groups
     // resident, which is what makes bounded pre-aggregation effective under
     // skew — the accelerator equivalent of an LRU-ish cache.
-    if (max_groups_ > 0 && groups_.size() >= max_groups_) {
-      const std::vector<size_t>& bucket = table_[hashes[row]];
-      bool exists = false;
-      for (size_t gid : bucket) {
-        bool match = true;
-        for (size_t k = 0; k < group_cols_.size(); ++k) {
-          if (groups_[gid].keys[k].Compare(
-                  input.GetValue(row, group_cols_[k])) != 0) {
-            match = false;
-            break;
-          }
-        }
-        if (match) {
-          exists = true;
-          break;
-        }
-      }
-      if (!exists) {
+    size_t gid = FindGroup(input, row, hashes[row]);
+    if (gid == groups_.size()) {
+      if (max_groups_ > 0 && groups_.size() >= max_groups_) {
         DFLOW_RETURN_NOT_OK(EvictOldestHalf(out));
         ++partial_flushes_;
       }
+      gid = CreateGroup(input, row, hashes[row]);
     }
-    const size_t gid = FindOrCreateGroup(input, row, hashes[row]);
     Group& g = groups_[gid];
     for (size_t s = 0; s < specs_.size(); ++s) {
       Accumulator& acc = g.accs[s];
@@ -209,7 +250,7 @@ Status HashAggregateOperator::UpdateGroups(const DataChunk& input,
           // Final stage: the input column holds partial counts to sum up.
           // Earlier stages: count the (non-NULL) rows themselves.
           if (mode_ == AggMode::kFinal) {
-            acc.count += col.GetValue(row).AsInt64();
+            acc.count += Int64At(col, row);
           } else {
             acc.count += 1;
           }
@@ -218,21 +259,21 @@ Status HashAggregateOperator::UpdateGroups(const DataChunk& input,
           if (col.type() == DataType::kDouble) {
             acc.sum_d += col.f64()[row];
           } else {
-            acc.sum_i += col.GetValue(row).AsInt64();
+            acc.sum_i += Int64At(col, row);
           }
           break;
-        case AggFunc::kMin: {
-          Value v = col.GetValue(row);
-          if (acc.count == 0 || v.Compare(acc.min) < 0) acc.min = v;
+        case AggFunc::kMin:
+          if (acc.count == 0 || CompareSlot(col, row, acc.min) < 0) {
+            acc.min = col.GetValue(row);
+          }
           acc.count += 1;
           break;
-        }
-        case AggFunc::kMax: {
-          Value v = col.GetValue(row);
-          if (acc.count == 0 || v.Compare(acc.max) > 0) acc.max = v;
+        case AggFunc::kMax:
+          if (acc.count == 0 || CompareSlot(col, row, acc.max) > 0) {
+            acc.max = col.GetValue(row);
+          }
           acc.count += 1;
           break;
-        }
       }
     }
   }

@@ -56,7 +56,7 @@ class HashAggregateOperator : public Operator {
   const Schema& output_schema() const override { return output_schema_; }
   const Schema* input_schema() const override { return &input_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
   Status Finish(std::vector<DataChunk>* out) override;
 
   /// Number of early partial flushes forced by the bounded table.
@@ -80,7 +80,12 @@ class HashAggregateOperator : public Operator {
   HashAggregateOperator() = default;
 
   Status UpdateGroups(const DataChunk& input, std::vector<DataChunk>* out);
-  size_t FindOrCreateGroup(const DataChunk& input, size_t row, uint64_t hash);
+  /// Id of the group whose keys equal row `row`'s group columns under
+  /// `Value::Compare(...) == 0` (NULL matches only NULL), compared against
+  /// the typed column slots without boxing; groups_.size() if none.
+  size_t FindGroup(const DataChunk& input, size_t row, uint64_t hash) const;
+  /// Appends a new group keyed by row `row`'s group columns; returns its id.
+  size_t CreateGroup(const DataChunk& input, size_t row, uint64_t hash);
   Status EmitAll(std::vector<DataChunk>* out);
   Status EvictOldestHalf(std::vector<DataChunk>* out);
   void AppendAggValue(const Accumulator& acc, size_t spec_idx,

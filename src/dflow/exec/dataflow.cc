@@ -427,15 +427,17 @@ void DataflowGraph::StartWork(Node* n) {
   double work_scale = 1.0;
   if (n->type == Node::Type::kStage) {
     cc = n->op->traits().cost_class;
-    Status st = n->op->Push(chunk, &outputs);
+    Status st = n->op->Push(std::move(chunk), &outputs);
     if (!st.ok()) {
       Fail(std::move(st));
       return;
     }
   } else if (n->type == Node::Type::kBroadcast) {
     cc = sim::CostClass::kMemcpy;
-    // One replica per outgoing edge; the device copies each of them.
-    for (size_t i = 0; i < n->outs.size(); ++i) outputs.push_back(chunk);
+    // One replica per outgoing edge; the device copies each of them. The
+    // last edge takes the chunk itself.
+    for (size_t i = 0; i + 1 < n->outs.size(); ++i) outputs.push_back(chunk);
+    if (!n->outs.empty()) outputs.push_back(std::move(chunk));
     work_scale = static_cast<double>(n->outs.size());
   } else {
     cc = sim::CostClass::kPartition;

@@ -1,5 +1,7 @@
 #include "dflow/exec/filter.h"
 
+#include <utility>
+
 #include "dflow/exec/test_hooks.h"
 
 namespace dflow {
@@ -36,8 +38,7 @@ OperatorTraits FilterOperator::traits() const {
   return t;
 }
 
-Status FilterOperator::Push(const DataChunk& input,
-                            std::vector<DataChunk>* out) {
+Status FilterOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   RecordIn(input);
   Mask mask;
   DFLOW_RETURN_NOT_OK(predicate_->EvaluatePredicate(input, &mask));
@@ -49,7 +50,7 @@ Status FilterOperator::Push(const DataChunk& input,
   }
   if (sel.empty()) return Status::OK();
   if (sel.size() == input.num_rows()) {
-    out->push_back(input);
+    out->push_back(std::move(input));
     RecordOut(out->back());
     return Status::OK();
   }

@@ -73,8 +73,7 @@ OperatorTraits JoinBuildOperator::traits() const {
   return t;
 }
 
-Status JoinBuildOperator::Push(const DataChunk& input,
-                               std::vector<DataChunk>* out) {
+Status JoinBuildOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
   return table_->Insert(input);
@@ -110,7 +109,7 @@ OperatorTraits HashJoinProbeOperator::traits() const {
   return t;
 }
 
-Status HashJoinProbeOperator::Push(const DataChunk& input,
+Status HashJoinProbeOperator::Push(DataChunk input,
                                    std::vector<DataChunk>* out) {
   RecordIn(input);
   std::vector<std::pair<uint32_t, uint32_t>> matches;

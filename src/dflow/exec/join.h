@@ -58,7 +58,7 @@ class JoinBuildOperator : public Operator {
     return &table_->build_schema();
   }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   explicit JoinBuildOperator(std::shared_ptr<JoinHashTable> table)
@@ -80,7 +80,7 @@ class HashJoinProbeOperator : public Operator {
   const Schema& output_schema() const override { return output_schema_; }
   const Schema* input_schema() const override { return &probe_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   HashJoinProbeOperator(std::shared_ptr<const JoinHashTable> table,

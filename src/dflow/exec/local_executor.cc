@@ -3,13 +3,13 @@
 namespace dflow {
 
 Result<std::vector<DataChunk>> RunLocalPipeline(
-    const std::vector<DataChunk>& inputs, const std::vector<Operator*>& ops) {
-  std::vector<DataChunk> current = inputs;
+    std::vector<DataChunk> inputs, const std::vector<Operator*>& ops) {
+  std::vector<DataChunk> current = std::move(inputs);
   for (Operator* op : ops) {
     if (op == nullptr) return Status::InvalidArgument("null operator");
     std::vector<DataChunk> next;
-    for (const DataChunk& chunk : current) {
-      DFLOW_RETURN_NOT_OK(op->Push(chunk, &next));
+    for (DataChunk& chunk : current) {
+      DFLOW_RETURN_NOT_OK(op->Push(std::move(chunk), &next));
     }
     DFLOW_RETURN_NOT_OK(op->Finish(&next));
     current = std::move(next);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <utility>
 
 #include "dflow/common/logging.h"
 
@@ -20,8 +21,7 @@ OperatorTraits CountOperator::traits() const {
   return t;
 }
 
-Status CountOperator::Push(const DataChunk& input,
-                           std::vector<DataChunk>* out) {
+Status CountOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
   count_ += static_cast<int64_t>(input.num_rows());
@@ -49,15 +49,14 @@ OperatorTraits LimitOperator::traits() const {
   return t;
 }
 
-Status LimitOperator::Push(const DataChunk& input,
-                           std::vector<DataChunk>* out) {
+Status LimitOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   RecordIn(input);
   if (seen_ >= limit_) return Status::OK();
   const uint64_t take =
       std::min<uint64_t>(input.num_rows(), limit_ - seen_);
   seen_ += take;
   if (take == input.num_rows()) {
-    out->push_back(input);
+    out->push_back(std::move(input));
   } else {
     SelectionVector sel;
     for (uint64_t i = 0; i < take; ++i) sel.Append(static_cast<uint32_t>(i));
@@ -85,8 +84,7 @@ OperatorTraits SortOperator::traits() const {
   return t;
 }
 
-Status SortOperator::Push(const DataChunk& input,
-                          std::vector<DataChunk>* out) {
+Status SortOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
   for (size_t r = 0; r < input.num_rows(); ++r) {
@@ -125,10 +123,9 @@ OperatorTraits DecodeOperator::traits() const {
   return t;
 }
 
-Status DecodeOperator::Push(const DataChunk& input,
-                            std::vector<DataChunk>* out) {
+Status DecodeOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   RecordIn(input);
-  out->push_back(input);
+  out->push_back(std::move(input));
   RecordOut(out->back());
   return Status::OK();
 }
@@ -142,10 +139,9 @@ OperatorTraits EncodeOperator::traits() const {
   return t;
 }
 
-Status EncodeOperator::Push(const DataChunk& input,
-                            std::vector<DataChunk>* out) {
+Status EncodeOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   RecordIn(input);
-  out->push_back(input);
+  out->push_back(std::move(input));
   RecordOut(out->back());
   return Status::OK();
 }

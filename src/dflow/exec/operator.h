@@ -58,8 +58,10 @@ class Operator {
   /// type-check each edge; execution never consults it.
   virtual const Schema* input_schema() const { return nullptr; }
 
-  /// Consumes one input chunk; appends zero or more output chunks.
-  virtual Status Push(const DataChunk& input, std::vector<DataChunk>* out) = 0;
+  /// Consumes one input chunk, taking ownership of it; appends zero or more
+  /// output chunks. A pass-through operator moves its input into `out`, so
+  /// callers hand on a chunk they own with std::move rather than copying it.
+  virtual Status Push(DataChunk input, std::vector<DataChunk>* out) = 0;
 
   /// Called once after the last Push; flushes any remaining state.
   virtual Status Finish(std::vector<DataChunk>* out) {

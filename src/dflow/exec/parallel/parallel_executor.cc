@@ -26,13 +26,13 @@ struct ResultItem {
 
 /// Pushes `chunk` through ops[from..] and appends the tail-stage output.
 Status PushThroughChain(std::vector<OperatorPtr>* ops, size_t from,
-                        const DataChunk& chunk, std::vector<DataChunk>* out) {
+                        DataChunk chunk, std::vector<DataChunk>* out) {
   std::vector<DataChunk> current;
-  current.push_back(chunk);
+  current.push_back(std::move(chunk));
   for (size_t i = from; i < ops->size(); ++i) {
     std::vector<DataChunk> next;
-    for (const DataChunk& c : current) {
-      DFLOW_RETURN_NOT_OK((*ops)[i]->Push(c, &next));
+    for (DataChunk& c : current) {
+      DFLOW_RETURN_NOT_OK((*ops)[i]->Push(std::move(c), &next));
     }
     current = std::move(next);
   }
@@ -48,8 +48,8 @@ Status FinishChain(std::vector<OperatorPtr>* ops,
   for (size_t i = 0; i < ops->size(); ++i) {
     std::vector<DataChunk> flushed;
     DFLOW_RETURN_NOT_OK((*ops)[i]->Finish(&flushed));
-    for (const DataChunk& c : flushed) {
-      DFLOW_RETURN_NOT_OK(PushThroughChain(ops, i + 1, c, out));
+    for (DataChunk& c : flushed) {
+      DFLOW_RETURN_NOT_OK(PushThroughChain(ops, i + 1, std::move(c), out));
     }
   }
   return Status::OK();
@@ -62,8 +62,8 @@ Result<std::vector<DataChunk>> RunSerialChain(
   DFLOW_ASSIGN_OR_RETURN(std::vector<OperatorPtr> ops, factory());
   if (ops.empty()) return chunks;
   std::vector<DataChunk> out;
-  for (const DataChunk& c : chunks) {
-    DFLOW_RETURN_NOT_OK(PushThroughChain(&ops, 0, c, &out));
+  for (DataChunk& c : chunks) {
+    DFLOW_RETURN_NOT_OK(PushThroughChain(&ops, 0, std::move(c), &out));
   }
   DFLOW_RETURN_NOT_OK(FinishChain(&ops, &out));
   return out;
@@ -163,10 +163,9 @@ Result<std::vector<DataChunk>> RunMorselPipeline(
       scheduler.SubmitTo(
           static_cast<uint32_t>(i % workers), [&, morsel](uint32_t worker) {
             if (errors.failed()) return;
-            const DataChunk chunk = morsel.Materialize();
             std::vector<DataChunk> outs;
-            const Status s =
-                PushThroughChain(&chains[worker], 0, chunk, &outs);
+            const Status s = PushThroughChain(&chains[worker], 0,
+                                              morsel.Materialize(), &outs);
             if (!s.ok()) {
               errors.Record(s);
               return;

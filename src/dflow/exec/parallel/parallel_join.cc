@@ -154,7 +154,8 @@ Result<ParallelJoinResult> RunParallelHashJoin(
                 return;
               }
               std::vector<DataChunk> kept;
-              const Status s = filter.ValueOrDie()->Push(chunk, &kept);
+              const Status s =
+                  filter.ValueOrDie()->Push(std::move(chunk), &kept);
               if (!s.ok()) {
                 errors.Record(s);
                 return;

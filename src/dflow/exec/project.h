@@ -25,7 +25,7 @@ class ProjectOperator : public Operator {
   const Schema& output_schema() const override { return schema_; }
   const Schema* input_schema() const override { return &input_schema_; }
   OperatorTraits traits() const override;
-  Status Push(const DataChunk& input, std::vector<DataChunk>* out) override;
+  Status Push(DataChunk input, std::vector<DataChunk>* out) override;
 
  private:
   ProjectOperator(std::vector<ExprPtr> exprs, Schema schema,

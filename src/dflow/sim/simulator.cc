@@ -1,18 +1,30 @@
 #include "dflow/sim/simulator.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "dflow/common/logging.h"
 
 namespace dflow::sim {
 
 void Simulator::ScheduleAt(SimTime time, std::function<void()> fn) {
   DFLOW_CHECK_GE(time, now_);
-  queue_.push(Event{time, next_seq_++, std::move(fn)});
+  queue_.push_back(Event{time, next_seq_++, std::move(fn)});
+  std::push_heap(queue_.begin(), queue_.end(), EventLater{});
+}
+
+Simulator::Event Simulator::PopNext() {
+  // (time, seq) is a total order, so the dispatch order is exactly that of
+  // any other heap under EventLater.
+  std::pop_heap(queue_.begin(), queue_.end(), EventLater{});
+  Event ev = std::move(queue_.back());
+  queue_.pop_back();
+  return ev;
 }
 
 SimTime Simulator::Run() {
   while (!queue_.empty()) {
-    Event ev = queue_.top();
-    queue_.pop();
+    Event ev = PopNext();
     now_ = ev.time;
     ++events_processed_;
     ev.fn();
@@ -24,8 +36,7 @@ bool Simulator::RunWithLimit(uint64_t max_events) {
   uint64_t executed = 0;
   while (!queue_.empty()) {
     if (executed >= max_events) return false;
-    Event ev = queue_.top();
-    queue_.pop();
+    Event ev = PopNext();
     now_ = ev.time;
     ++events_processed_;
     ++executed;
@@ -38,7 +49,7 @@ void Simulator::Reset() {
   now_ = 0;
   next_seq_ = 0;
   events_processed_ = 0;
-  while (!queue_.empty()) queue_.pop();
+  queue_.clear();
 }
 
 }  // namespace dflow::sim

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <vector>
 
 namespace dflow::sim {
@@ -14,6 +13,9 @@ using SimTime = uint64_t;
 /// Deterministic discrete-event simulator. Events at equal timestamps run in
 /// schedule order (stable), so simulations are exactly reproducible run to
 /// run — a property the tests rely on.
+///
+/// Each event owns its payload (the callback and whatever chunks it
+/// captured); dispatch moves the event out of the heap and never copies it.
 ///
 /// This is the substrate on which the whole "pipeline of processing elements
 /// along the data path" (§7) executes: every chunk hop, DMA transfer, credit
@@ -53,6 +55,9 @@ class Simulator {
     uint64_t seq;
     std::function<void()> fn;
   };
+  /// Moves the earliest event out of the heap.
+  Event PopNext();
+
   struct EventLater {
     bool operator()(const Event& a, const Event& b) const {
       if (a.time != b.time) return a.time > b.time;
@@ -63,7 +68,9 @@ class Simulator {
   SimTime now_ = 0;
   uint64_t next_seq_ = 0;
   uint64_t events_processed_ = 0;
-  std::priority_queue<Event, std::vector<Event>, EventLater> queue_;
+  // Binary heap under EventLater (std::push_heap/pop_heap), so the earliest
+  // event can be moved out of back() instead of copied out of a top().
+  std::vector<Event> queue_;
 };
 
 }  // namespace dflow::sim

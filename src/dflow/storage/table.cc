@@ -23,14 +23,10 @@ Result<std::vector<DataChunk>> RowGroup::DecodeChunks(
   const size_t n = num_rows_;
   for (size_t start = 0; start < n; start += kVectorSize) {
     const size_t count = std::min(kVectorSize, n - start);
-    SelectionVector sel;
-    for (size_t r = 0; r < count; ++r) {
-      sel.Append(static_cast<uint32_t>(start + r));
-    }
     std::vector<ColumnVector> cols;
     cols.reserve(full_columns.size());
-    for (const ColumnVector& col : full_columns) {
-      cols.push_back(col.Gather(sel));
+    for (ColumnVector& col : full_columns) {
+      cols.push_back(col.TakeRange(start, count));
     }
     out.emplace_back(std::move(cols));
   }

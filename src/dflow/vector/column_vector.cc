@@ -1,5 +1,7 @@
 #include "dflow/vector/column_vector.h"
 
+#include <iterator>
+
 #include "dflow/common/logging.h"
 
 namespace dflow {
@@ -204,6 +206,25 @@ ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
     for (size_t i = 0; i < sel.size(); ++i) {
       out.validity_[i] = validity_[sel[i]];
     }
+  }
+  return out;
+}
+
+ColumnVector ColumnVector::TakeRange(size_t start, size_t count) {
+  DFLOW_CHECK_LE(start + count, size());
+  ColumnVector out(type_);
+  std::visit(
+      [&](auto& src) {
+        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
+        const auto first = src.begin() + static_cast<std::ptrdiff_t>(start);
+        dst.assign(std::make_move_iterator(first),
+                   std::make_move_iterator(
+                       first + static_cast<std::ptrdiff_t>(count)));
+      },
+      data_);
+  if (HasNulls()) {
+    const auto first = validity_.begin() + static_cast<std::ptrdiff_t>(start);
+    out.validity_.assign(first, first + static_cast<std::ptrdiff_t>(count));
   }
   return out;
 }

@@ -107,6 +107,12 @@ class ColumnVector {
   /// New column containing the selected rows, in selection order.
   ColumnVector Gather(const SelectionVector& sel) const;
 
+  /// Moves rows [start, start + count) out into a new column, leaving those
+  /// slots here valid but unspecified. The result carries a validity mask
+  /// exactly when this column has one, so its ByteSize() equals that of a
+  /// Gather of the same rows.
+  ColumnVector TakeRange(size_t start, size_t count);
+
   /// Wire size in bytes: fixed width * rows, or string byte total plus a
   /// 4-byte length per row, plus the validity mask if present.
   uint64_t ByteSize() const;

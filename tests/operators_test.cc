@@ -1,6 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "dflow/common/random.h"
+#include "dflow/compile/fuse.h"
+#include "dflow/engine/engine.h"
 #include "dflow/exec/aggregate.h"
 #include "dflow/exec/filter.h"
 #include "dflow/exec/join.h"
@@ -9,6 +17,9 @@
 #include "dflow/exec/partition.h"
 #include "dflow/exec/project.h"
 #include "dflow/plan/expr.h"
+#include "dflow/storage/table.h"
+#include "dflow/testing/canonical.h"
+#include "dflow/vector/kernels.h"
 
 namespace dflow {
 namespace {
@@ -391,6 +402,17 @@ TEST(DecodeOperatorTest, IdentityOnData) {
   EXPECT_EQ(op.OutputWireBytes(out[0]), out[0].ByteSize());
 }
 
+TEST(DecodeOperatorTest, PushMovesInputThrough) {
+  DecodeOperator op(SalesSchema());
+  DataChunk chunk = SalesChunk();
+  const int64_t* ids = chunk.column(0).i64().data();
+  std::vector<DataChunk> out;
+  ASSERT_TRUE(op.Push(std::move(chunk), &out).ok());
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0].column(0).i64().data(), ids);
+  EXPECT_EQ(out[0].num_rows(), 6u);
+}
+
 TEST(LocalExecutorTest, ChainsOperators) {
   auto pred = Resolved(Expr::Cmp(CompareOp::kGe, Expr::Col("amount"),
                                  Expr::Lit(Value::Double(30.0))),
@@ -400,6 +422,249 @@ TEST(LocalExecutorTest, ChainsOperators) {
   auto out =
       RunLocalPipeline({SalesChunk()}, {filter.get(), &count}).ValueOrDie();
   EXPECT_EQ(out[0].GetValue(0, 0).int64_value(), 4);
+}
+
+// ------------------------------------------- group keys of every type --
+
+// One group-key column per physical type, an int64 and an int32 value
+// column, and about one NULL in eight in every column.
+Schema KeyTypesSchema() {
+  return Schema({{"kb", DataType::kBool},
+                 {"ki", DataType::kInt32},
+                 {"kd", DataType::kDate32},
+                 {"kl", DataType::kInt64},
+                 {"kf", DataType::kDouble},
+                 {"ks", DataType::kString},
+                 {"v", DataType::kInt64},
+                 {"q", DataType::kInt32}});
+}
+
+// Four values per column: 0.0 and -0.0 among the doubles (equal under
+// Value::Compare, different hashes), "" among the strings, int64 values
+// beyond the int32 range.
+DataChunk KeyTypesChunk(size_t rows, uint64_t seed) {
+  Random rng(seed);
+  DataChunk chunk = DataChunk::EmptyFromSchema(KeyTypesSchema());
+  const double doubles[] = {0.0, -0.0, 1.5, -2.25};
+  const char* strings[] = {"", "a", "ab", "b"};
+  for (size_t r = 0; r < rows; ++r) {
+    for (ColumnVector& col : chunk.columns()) {
+      if (rng.NextUint64(8) == 0) {
+        col.AppendNull();
+        continue;
+      }
+      const uint64_t k = rng.NextUint64(4);
+      switch (col.type()) {
+        case DataType::kBool:
+          col.AppendValue(Value::Bool((k & 1) != 0));
+          break;
+        case DataType::kInt32:
+          col.AppendValue(Value::Int32(static_cast<int32_t>(k) - 1));
+          break;
+        case DataType::kDate32:
+          col.AppendValue(Value::Date32(8000 + static_cast<int32_t>(k)));
+          break;
+        case DataType::kInt64:
+          col.AppendValue(
+              Value::Int64(static_cast<int64_t>(k) * 3'000'000'000LL - 1));
+          break;
+        case DataType::kDouble:
+          col.AppendValue(Value::Double(doubles[k]));
+          break;
+        case DataType::kString:
+          col.AppendValue(Value::String(strings[k]));
+          break;
+      }
+    }
+  }
+  return chunk;
+}
+
+std::vector<AggSpec> KeyTypesAggs() {
+  return {{AggFunc::kCount, "", "n"},      {AggFunc::kCount, "v", "nv"},
+          {AggFunc::kSum, "v", "sv"},      {AggFunc::kSum, "q", "sq"},
+          {AggFunc::kMin, "ks", "min_s"},  {AggFunc::kMax, "kf", "max_f"},
+          {AggFunc::kMin, "kd", "min_d"},  {AggFunc::kMax, "kb", "max_b"}};
+}
+
+// An independent boxed group-by over KeyTypesAggs(): a linear scan of the
+// groups, matched by the key's HashColumn value (so 0.0 and -0.0 stay
+// apart, as in any hash table) and Value::Compare(...) == 0.
+std::vector<volcano::Row> BoxedGroupBy(const std::vector<DataChunk>& chunks,
+                                       size_t key_col) {
+  const Schema schema = KeyTypesSchema();
+  const size_t v = schema.FieldIndex("v").ValueOrDie();
+  const size_t q = schema.FieldIndex("q").ValueOrDie();
+  const size_t ks = schema.FieldIndex("ks").ValueOrDie();
+  const size_t kf = schema.FieldIndex("kf").ValueOrDie();
+  const size_t kd = schema.FieldIndex("kd").ValueOrDie();
+  const size_t kb = schema.FieldIndex("kb").ValueOrDie();
+  struct Group {
+    Value key;
+    uint64_t hash = 0;
+    int64_t n = 0;
+    int64_t nv = 0;
+    std::optional<int64_t> sv;
+    std::optional<int64_t> sq;
+    Value min_s = Value::Null(DataType::kString);
+    Value max_f = Value::Null(DataType::kDouble);
+    Value min_d = Value::Null(DataType::kDate32);
+    Value max_b = Value::Null(DataType::kBool);
+  };
+  auto keep_min = [](Value* acc, const Value& x) {
+    if (!x.is_null() && (acc->is_null() || x.Compare(*acc) < 0)) *acc = x;
+  };
+  auto keep_max = [](Value* acc, const Value& x) {
+    if (!x.is_null() && (acc->is_null() || x.Compare(*acc) > 0)) *acc = x;
+  };
+  std::vector<Group> groups;
+  for (const DataChunk& chunk : chunks) {
+    std::vector<uint64_t> hashes;
+    DFLOW_CHECK(HashColumn(chunk.column(key_col), &hashes).ok());
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      const Value key = chunk.GetValue(r, key_col);
+      Group* g = nullptr;
+      for (Group& candidate : groups) {
+        if (candidate.hash == hashes[r] && candidate.key.Compare(key) == 0) {
+          g = &candidate;
+          break;
+        }
+      }
+      if (g == nullptr) {
+        Group fresh;
+        fresh.key = key;
+        fresh.hash = hashes[r];
+        groups.push_back(std::move(fresh));
+        g = &groups.back();
+      }
+      g->n += 1;
+      const Value vv = chunk.GetValue(r, v);
+      if (!vv.is_null()) {
+        g->nv += 1;
+        g->sv = g->sv.value_or(0) + vv.AsInt64();
+      }
+      const Value qv = chunk.GetValue(r, q);
+      if (!qv.is_null()) g->sq = g->sq.value_or(0) + qv.AsInt64();
+      keep_min(&g->min_s, chunk.GetValue(r, ks));
+      keep_max(&g->max_f, chunk.GetValue(r, kf));
+      keep_min(&g->min_d, chunk.GetValue(r, kd));
+      keep_max(&g->max_b, chunk.GetValue(r, kb));
+    }
+  }
+  auto sum = [](const std::optional<int64_t>& s) {
+    return s.has_value() ? Value::Int64(*s) : Value::Null(DataType::kInt64);
+  };
+  std::vector<volcano::Row> rows;
+  for (const Group& g : groups) {
+    rows.push_back({g.key, Value::Int64(g.n), Value::Int64(g.nv), sum(g.sv),
+                    sum(g.sq), g.min_s, g.max_f, g.min_d, g.max_b});
+  }
+  return rows;
+}
+
+// Group keys are matched against the typed column slots without boxing.
+// That must agree with Value::Compare for every key type, NULL keys
+// included, in a complete aggregate and in a bounded partial one that
+// evicts; the boxed reference above and the Volcano engine both check it.
+TEST(AggregateTest, UnboxedKeyMatchingAgreesWithValueCompare) {
+  const Schema schema = KeyTypesSchema();
+  TableBuilder builder("keys", schema, /*row_group_size=*/4096);
+  ASSERT_TRUE(builder.Append(KeyTypesChunk(5000, /*seed=*/17)).ok());
+  auto table = std::make_shared<Table>(builder.Finish().ValueOrDie());
+  const std::vector<DataChunk> chunks = table->ToChunks().ValueOrDie();
+  ASSERT_GT(chunks.size(), 2u);
+  Engine engine{sim::FabricConfig{}};
+  ASSERT_TRUE(engine.catalog().Register(table).ok());
+
+  for (const char* key : {"kb", "ki", "kd", "kl", "kf", "ks"}) {
+    SCOPED_TRACE(key);
+    const std::string expected =
+        testing::CanonicalizeVolcanoRows(
+            BoxedGroupBy(chunks, schema.FieldIndex(key).ValueOrDie()))
+            .fingerprint;
+
+    QuerySpec spec;
+    spec.table = "keys";
+    spec.group_by = {key};
+    spec.aggregates = KeyTypesAggs();
+    auto volcano = engine.ExecuteOnVolcano(spec, /*pool_pages=*/256);
+    ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+    EXPECT_EQ(
+        testing::CanonicalizeVolcanoRows(volcano.ValueOrDie().rows).fingerprint,
+        expected);
+
+    auto complete = HashAggregateOperator::Make(schema, {key}, KeyTypesAggs(),
+                                                AggMode::kComplete)
+                        .ValueOrDie();
+    EXPECT_EQ(testing::CanonicalizeChunks(
+                  RunLocalPipeline(chunks, {complete.get()}).ValueOrDie())
+                  .fingerprint,
+              expected);
+
+    auto partial = HashAggregateOperator::Make(schema, {key}, KeyTypesAggs(),
+                                               AggMode::kPartial,
+                                               /*max_groups=*/2)
+                       .ValueOrDie();
+    auto final_op =
+        HashAggregateOperator::Make(partial->output_schema(), {key},
+                                    MakeMergeSpecs(KeyTypesAggs()),
+                                    AggMode::kFinal)
+            .ValueOrDie();
+    EXPECT_EQ(testing::CanonicalizeChunks(
+                  RunLocalPipeline(chunks, {partial.get(), final_op.get()})
+                      .ValueOrDie())
+                  .fingerprint,
+              expected);
+    EXPECT_GT(static_cast<HashAggregateOperator*>(partial.get())
+                  ->partial_flushes(),
+              0u);
+  }
+}
+
+// ------------------------------------------------------------- fusion --
+
+// A fused kernel moves each chunk through its members; its output must be
+// chunk-for-chunk the unfused chain's.
+TEST(FusedOperatorTest, OutputEqualsUnfusedChain) {
+  const Schema schema = KeyTypesSchema();
+  TableBuilder builder("keys", schema, /*row_group_size=*/4096);
+  ASSERT_TRUE(builder.Append(KeyTypesChunk(5000, /*seed=*/5)).ok());
+  const std::vector<DataChunk> chunks =
+      builder.Finish().ValueOrDie().ToChunks().ValueOrDie();
+  auto make_chain = [&] {
+    std::vector<OperatorPtr> ops;
+    ops.push_back(
+        FilterOperator::Make(
+            Resolved(Expr::Cmp(CompareOp::kGt, Expr::Col("q"),
+                               Expr::Lit(Value::Int32(0))),
+                     schema),
+            schema)
+            .ValueOrDie());
+    ops.push_back(ProjectOperator::Make({Resolved(Expr::Col("ks"), schema),
+                                         Resolved(Expr::Col("v"), schema)},
+                                        {"ks", "v"}, schema)
+                      .ValueOrDie());
+    ops.push_back(HashAggregateOperator::Make(
+                      ops.back()->output_schema(), {"ks"},
+                      {{AggFunc::kSum, "v", "sv"}, {AggFunc::kCount, "", "n"}},
+                      AggMode::kPartial, /*max_groups=*/2)
+                      .ValueOrDie());
+    return ops;
+  };
+  std::vector<OperatorPtr> plain = make_chain();
+  const std::vector<DataChunk> unfused =
+      RunLocalPipeline(chunks, {plain[0].get(), plain[1].get(),
+                                plain[2].get()})
+          .ValueOrDie();
+  OperatorPtr fused = compile::FusedOperator::Make(make_chain()).ValueOrDie();
+  const std::vector<DataChunk> out =
+      RunLocalPipeline(chunks, {fused.get()}).ValueOrDie();
+  ASSERT_GT(unfused.size(), 1u);
+  ASSERT_EQ(out.size(), unfused.size());
+  for (size_t i = 0; i < out.size(); ++i) {
+    EXPECT_EQ(out[i].ToString(kVectorSize), unfused[i].ToString(kVectorSize));
+    EXPECT_EQ(out[i].ByteSize(), unfused[i].ByteSize());
+  }
 }
 
 }  // namespace

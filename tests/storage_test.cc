@@ -130,6 +130,59 @@ TEST(TableTest, DecodeChunksSelectsColumns) {
   EXPECT_EQ(chunks[0].GetValue(0, 0).string_value(), "a");
 }
 
+// DecodeChunks slices each decoded column instead of gathering row by row.
+// A slice keeps the validity mask of its whole column, even where it holds
+// no NULL: ByteSize() (and so every wire byte) counts the mask.
+TEST(TableTest, DecodeChunksSlicesMatchGather) {
+  const size_t rows = 2 * kVectorSize + kVectorSize / 2;
+  std::vector<int64_t> ids;
+  std::vector<std::string> names;
+  for (size_t i = 0; i < rows; ++i) {
+    ids.push_back(static_cast<int64_t>(i * 7 % 1000));
+    names.push_back("n" + std::to_string(i % 13));
+  }
+  DataChunk chunk = MakeChunk(ids, names);
+  chunk.column(0).SetNull(rows - 1);  // NULLs in the last slice only
+  chunk.column(1).SetNull(rows - 3);
+  TableBuilder builder("t", TwoColSchema(), rows);
+  ASSERT_TRUE(builder.Append(chunk).ok());
+  Table table = builder.Finish().ValueOrDie();
+  const RowGroup& rg = table.row_group(0);
+  ASSERT_EQ(rg.num_rows(), rows);
+
+  const auto chunks = rg.DecodeChunks({0, 1}).ValueOrDie();
+  ASSERT_EQ(chunks.size(), 3u);
+  const ColumnVector ids_col = rg.DecodeColumnAt(0).ValueOrDie();
+  const ColumnVector names_col = rg.DecodeColumnAt(1).ValueOrDie();
+  ASSERT_TRUE(ids_col.HasNulls());
+  ASSERT_TRUE(names_col.HasNulls());
+  for (size_t i = 0; i < chunks.size(); ++i) {
+    SCOPED_TRACE(i);
+    SelectionVector sel;
+    for (size_t r = i * kVectorSize; r < std::min(rows, (i + 1) * kVectorSize);
+         ++r) {
+      sel.Append(static_cast<uint32_t>(r));
+    }
+    const DataChunk gathered({ids_col.Gather(sel), names_col.Gather(sel)});
+    EXPECT_TRUE(chunks[i].column(0).HasNulls());
+    EXPECT_TRUE(chunks[i].column(1).HasNulls());
+    EXPECT_EQ(chunks[i].ByteSize(), gathered.ByteSize());
+    EXPECT_EQ(chunks[i].ToString(kVectorSize), gathered.ToString(kVectorSize));
+  }
+
+  // A row group of one chunk comes back as one slice with the same masks.
+  TableBuilder small("s", TwoColSchema(), 1000);
+  DataChunk few = MakeChunk({1, 2, 3}, {"a", "b", "c"});
+  few.column(0).SetNull(1);
+  ASSERT_TRUE(small.Append(few).ok());
+  const auto one = small.Finish().ValueOrDie().row_group(0).DecodeChunks({0, 1})
+                       .ValueOrDie();
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_TRUE(one[0].column(0).HasNulls());
+  EXPECT_FALSE(one[0].column(1).HasNulls());
+  EXPECT_EQ(one[0].ByteSize(), few.ByteSize());
+}
+
 TEST(ObjectStoreTest, PutGetRoundtrip) {
   ObjectStore store;
   ASSERT_TRUE(store.Put("k", {1, 2, 3}).ok());
