@@ -203,21 +203,23 @@ Result<LoweredOps> LowerStages(const QuerySpec& spec,
   return out;
 }
 
-/// The program "VM": scans the program's table and replays the
-/// instruction list into a dataflow graph — one stage per op, or one fused
-/// stage per FusedGroup — wiring the chain with the program's credit
-/// layout and capping its network edge at `rate_limit_gbps` (0 = none).
-/// The only builder that turns a query into single-pipeline graph stages.
+/// The scan of the program's table, with its projection and pruning.
+Result<TableScanSource> ProgramScan(const DflowProgram& program) {
+  return TableScanSource::Make(program.table(), program.scan_columns(),
+                               program.filter());
+}
+
+/// The program "VM": replays the instruction list into a dataflow graph
+/// fed by `batches` — one stage per op, or one fused stage per FusedGroup —
+/// wiring the chain with the program's credit layout and capping its
+/// network edge at `rate_limit_gbps` (0 = none). Produced batches make a
+/// runnable graph; planned ones (ProgramScan(...).Plan()) a graph of the
+/// same shape to verify. The only builder that turns a query into
+/// single-pipeline graph stages.
 Result<Engine::AdmittedPipeline> BuildProgramGraph(
     Engine* engine, DataflowGraph* graph, const DflowProgram& program,
-    int node, const std::string& label, double rate_limit_gbps,
-    TableScanSource::ScanStats* scan_stats = nullptr) {
-  DFLOW_ASSIGN_OR_RETURN(
-      TableScanSource scan,
-      TableScanSource::Make(program.table(), program.scan_columns(),
-                            program.filter()));
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches,
-                         scan.Produce(scan_stats));
+    std::vector<ScanBatch> batches, int node, const std::string& label,
+    double rate_limit_gbps) {
   Engine::AdmittedPipeline built;
   built.variant = program.variant();
   built.source =
@@ -384,16 +386,19 @@ Result<compile::ProgramPtr> Engine::CompileVariant(
   };
 
   // Verify once, at compile time, against the live fabric and health
-  // registry. The scratch graph schedules nothing and charges no fabric
-  // work, so verification — and Engine::Verify, which returns this stamp —
-  // is side-effect free on the fabric.
+  // registry. The scratch graph is fed the planned scan — the verifier
+  // needs its shape, not its data — schedules nothing and charges no
+  // fabric work, so verification (and Engine::Verify, which returns this
+  // stamp) decodes nothing and is side-effect free on the fabric.
   verify::VerifyReport stamp;
   uint64_t verify_cost_ns = 0;
   if (mode != verify::VerifyMode::kOff) {
     compile::ProgramPtr pre = fill_builder().Build();
+    DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ProgramScan(*pre));
     DataflowGraph scratch(&fabric_.simulator());
-    DFLOW_RETURN_NOT_OK(BuildProgramGraph(this, &scratch, *pre, node,
-                                          spec.table, /*rate_limit_gbps=*/0)
+    DFLOW_RETURN_NOT_OK(BuildProgramGraph(this, &scratch, *pre, scan.Plan(),
+                                          node, spec.table,
+                                          /*rate_limit_gbps=*/0)
                             .status());
     stamp = VerifyGraphSpec(scratch.Describe());
     const uint64_t num_stages = lowered.ops.size() + 2;  // + source + sink
@@ -466,11 +471,13 @@ Result<QueryResult> Engine::ExecuteProgramImpl(
                       fabric_.simulator().now(), /*value=*/0,
                       program.variant()));
   TableScanSource::ScanStats stats;
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ProgramScan(program));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
   DFLOW_ASSIGN_OR_RETURN(
       AdmittedPipeline built,
-      BuildProgramGraph(this, &graph, program, options.node,
-                        program.spec().table, options.network_rate_limit_gbps,
-                        &stats));
+      BuildProgramGraph(this, &graph, program, std::move(batches),
+                        options.node, program.spec().table,
+                        options.network_rate_limit_gbps));
   const Status run_status = graph.Run();
   if (!run_status.ok()) {
     const std::string dead = graph.failed_device();
@@ -522,8 +529,10 @@ Result<Engine::AdmittedPipeline> Engine::BuildProgramPipeline(
     const std::string& label, double rate_limit_gbps) {
   DFLOW_CHECK(graph != nullptr);
   ArmGraph(graph);
-  return BuildProgramGraph(this, graph, program, /*node=*/0, label,
-                           rate_limit_gbps);
+  DFLOW_ASSIGN_OR_RETURN(TableScanSource scan, ProgramScan(program));
+  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce());
+  return BuildProgramGraph(this, graph, program, std::move(batches),
+                           /*node=*/0, label, rate_limit_gbps);
 }
 
 }  // namespace dflow

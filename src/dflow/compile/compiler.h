@@ -22,7 +22,9 @@ namespace dflow::compile {
 /// + resolution tens of microseconds, per-variant costing microseconds,
 /// verification per graph element, cache lookup sub-microsecond.
 inline constexpr uint64_t kPlanPrepareCostNs = 20'000;
-/// Sizing scan the optimizer runs to learn encoded/decoded byte counts.
+/// Sizing the scan's encoded/decoded byte counts. The optimizer reads them
+/// from row-group metadata, so this over-states the measured cost; it is
+/// kept because service reports account with it.
 inline constexpr uint64_t kPlanScanSizingCostNs = 50'000;
 inline constexpr uint64_t kPlanPerVariantCostNs = 5'000;
 inline constexpr uint64_t kLowerPerOpCostNs = 1'000;

@@ -87,6 +87,14 @@ class ByteReader {
     return Status::OK();
   }
 
+  Status Skip(size_t len) {
+    if (remaining() < len) {
+      return Status::OutOfRange("ByteReader: truncated input");
+    }
+    pos_ += len;
+    return Status::OK();
+  }
+
   Status GetString(std::string* out) {
     uint32_t len = 0;
     DFLOW_RETURN_NOT_OK(GetU32(&len));

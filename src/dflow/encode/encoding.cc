@@ -1,5 +1,6 @@
 #include "dflow/encode/encoding.h"
 
+#include <algorithm>
 #include <unordered_map>
 
 #include "dflow/common/logging.h"
@@ -341,6 +342,70 @@ Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded) {
     if (!validity[i]) col.SetNull(i);
   }
   return col;
+}
+
+namespace {
+
+// String bytes of a PLAIN payload: every row's length prefix plus its bytes.
+uint64_t PlainStringBytes(ByteReader* r, size_t n) {
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t len = 0;
+    if (!r->GetU32(&len).ok() || !r->Skip(len).ok()) break;
+    bytes += 4 + static_cast<uint64_t>(len);
+  }
+  return bytes;
+}
+
+// String bytes of a DICTIONARY payload: each row's entry length plus its
+// 4-byte prefix.
+uint64_t DictionaryStringBytes(ByteReader* r, size_t n) {
+  uint32_t dict_size = 0;
+  if (!r->GetU32(&dict_size).ok()) return 0;
+  std::vector<uint32_t> entry_len;
+  entry_len.reserve(std::min<size_t>(dict_size, r->remaining() / 4));
+  for (uint32_t i = 0; i < dict_size; ++i) {
+    uint32_t len = 0;
+    if (!r->GetU32(&len).ok() || !r->Skip(len).ok()) return 0;
+    entry_len.push_back(len);
+  }
+  uint64_t bytes = 0;
+  for (size_t i = 0; i < n; ++i) {
+    uint32_t code = 0;
+    if (!r->GetU32(&code).ok() || code >= dict_size) break;
+    bytes += 4 + static_cast<uint64_t>(entry_len[code]);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+uint64_t DecodedByteSize(const EncodedColumn& encoded) {
+  const size_t n = encoded.num_rows;
+  ByteReader r(encoded.data);
+  uint8_t has_nulls = 0;
+  if (!r.GetU8(&has_nulls).ok()) return 0;
+  uint64_t bytes = 0;
+  if (has_nulls) {
+    // DecodeColumn only materializes a mask when some row is NULL.
+    const size_t avail = std::min(n, r.remaining());
+    const uint8_t* mask = encoded.data.data() + 1;
+    if (std::find(mask, mask + avail, uint8_t{0}) != mask + avail) bytes += n;
+    if (!r.Skip(n).ok()) return bytes;
+  }
+  if (encoded.type != DataType::kString) {
+    return bytes + static_cast<uint64_t>(n) * FixedWidthBytes(encoded.type);
+  }
+  switch (encoded.encoding) {
+    case Encoding::kPlain:
+      return bytes + PlainStringBytes(&r, n);
+    case Encoding::kDictionary:
+      return bytes + DictionaryStringBytes(&r, n);
+    case Encoding::kRle:
+    case Encoding::kForBitPack:
+      break;  // integer-only: EncodeColumn never writes strings this way
+  }
+  return bytes;
 }
 
 Encoding ChooseEncoding(const ColumnVector& col) {

@@ -46,6 +46,17 @@ Result<EncodedColumn> EncodeColumn(const ColumnVector& col, Encoding encoding);
 /// Decodes back to a full column. Exact roundtrip for all encodings.
 Result<ColumnVector> DecodeColumn(const EncodedColumn& encoded);
 
+/// In-memory size of the decoded column, `DecodeColumn(encoded)->
+/// ByteSize()`, read from the payload without materializing a value:
+///   fixed width  rows x width, plus one byte per row when the validity
+///                header marks at least one NULL (the decoded column then
+///                carries its mask)
+///   strings      4 bytes per row plus the string bytes, from the PLAIN
+///                length prefixes or from the DICTIONARY entry lengths
+///                weighted by how often each code occurs
+/// On a payload DecodeColumn rejects, counts what it could read.
+uint64_t DecodedByteSize(const EncodedColumn& encoded);
+
 /// Picks the cheapest supported encoding for the column by trial encoding
 /// (small columns) or heuristics: run-heavy ints -> RLE, narrow ints -> FOR,
 /// low-cardinality strings -> dictionary, else plain.

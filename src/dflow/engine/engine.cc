@@ -263,12 +263,11 @@ Status Engine::EnumerateVariants(const QuerySpec& spec,
       TableScanSource scan,
       TableScanSource::Make(prepared.table, prepared.scan_columns,
                             prepared.filter));
+  // Sizes come from row-group metadata: planning decodes nothing.
   TableScanSource::ScanStats stats;
-  DFLOW_ASSIGN_OR_RETURN(std::vector<ScanBatch> batches, scan.Produce(&stats));
+  const std::vector<ScanBatch> batches = scan.Plan(&stats);
   uint64_t decoded = 0;
-  for (const ScanBatch& b : batches) {
-    for (const ScanChunk& sc : b.chunks) decoded += sc.chunk.ByteSize();
-  }
+  for (const ScanBatch& b : batches) decoded += b.decoded_bytes;
   const uint64_t encoded = stats.encoded_bytes_read;
   PlacementOptimizer::Input input;
   input.input_bytes = static_cast<double>(encoded);

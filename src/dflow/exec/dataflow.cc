@@ -734,6 +734,16 @@ Status DataflowGraph::Validate() const {
           return Status::InvalidArgument("source '" + n->name +
                                          "' has no device");
         }
+        for (const ScanBatch& b : n->batches) {
+          for (const ScanChunk& sc : b.chunks) {
+            if (sc.chunk.num_rows() < sc.rows) {
+              return Status::InvalidArgument(
+                  "source '" + n->name +
+                  "' holds a planned scan batch without data; only "
+                  "TableScanSource::Produce output can run");
+            }
+          }
+        }
         break;
       case Node::Type::kStage:
         if (n->op == nullptr || n->device == nullptr) {

@@ -65,7 +65,8 @@ class DataflowGraph {
 
   /// A source producing pre-scanned batches; `device` is charged `cc` work
   /// for each batch's device_bytes (e.g. the storage media doing a row-group
-  /// read).
+  /// read). Planned batches (TableScanSource::Plan) give the graph its
+  /// shape for Describe; Run and Launch reject them with InvalidArgument.
   NodeId AddSource(std::string name, sim::Device* device, sim::CostClass cc,
                    std::vector<ScanBatch> batches);
 

@@ -93,15 +93,91 @@ Status SortOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   return Status::OK();
 }
 
+namespace {
+
+template <typename T>
+int ThreeWay(T a, T b) {
+  return a < b ? -1 : (a > b ? 1 : 0);
+}
+
+// Stable-sorts row ids by `key`, given `cmp`, a three-way comparison of two
+// valid slots. NULL equals NULL and is smaller than any value, as in
+// Value::Compare.
+template <typename Cmp>
+void StableSortRows(const ColumnVector& key, bool descending,
+                    std::vector<uint32_t>* order, Cmp cmp) {
+  const bool has_nulls = key.HasNulls();
+  auto three_way = [&](uint32_t a, uint32_t b) {
+    if (has_nulls) {
+      const bool va = key.IsValid(a);
+      const bool vb = key.IsValid(b);
+      if (!va || !vb) return static_cast<int>(va) - static_cast<int>(vb);
+    }
+    return cmp(a, b);
+  };
+  std::vector<uint32_t>& rows = *order;
+  if (descending) {
+    std::stable_sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+      return three_way(a, b) > 0;
+    });
+  } else {
+    std::stable_sort(rows.begin(), rows.end(), [&](uint32_t a, uint32_t b) {
+      return three_way(a, b) < 0;
+    });
+  }
+}
+
+// Sorts on the key's typed slots with exactly Value::Compare's answer on the
+// boxed values: bools compare as 0/1, int32 and date32 as int64, doubles by
+// `<` and `>`, strings by `compare`. Same answers, so the same permutation.
+void SortByKey(const ColumnVector& key, bool descending,
+               std::vector<uint32_t>* order) {
+  switch (key.type()) {
+    case DataType::kBool: {
+      const std::vector<uint8_t>& v = key.bool_data();
+      StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
+        return ThreeWay<int>(v[a] != 0, v[b] != 0);
+      });
+      return;
+    }
+    case DataType::kInt32:
+    case DataType::kDate32: {
+      const std::vector<int32_t>& v = key.i32();
+      StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
+        return ThreeWay<int64_t>(v[a], v[b]);
+      });
+      return;
+    }
+    case DataType::kInt64: {
+      const std::vector<int64_t>& v = key.i64();
+      StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
+        return ThreeWay(v[a], v[b]);
+      });
+      return;
+    }
+    case DataType::kDouble: {
+      const std::vector<double>& v = key.f64();
+      StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
+        return ThreeWay(v[a], v[b]);
+      });
+      return;
+    }
+    case DataType::kString: {
+      const std::vector<std::string>& v = key.strs();
+      StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
+        return v[a].compare(v[b]);
+      });
+      return;
+    }
+  }
+}
+
+}  // namespace
+
 Status SortOperator::Finish(std::vector<DataChunk>* out) {
   std::vector<uint32_t> order(buffer_.num_rows());
   std::iota(order.begin(), order.end(), 0);
-  const ColumnVector& key = buffer_.column(sort_col_);
-  std::stable_sort(order.begin(), order.end(),
-                   [&](uint32_t a, uint32_t b) {
-                     const int cmp = key.GetValue(a).Compare(key.GetValue(b));
-                     return descending_ ? cmp > 0 : cmp < 0;
-                   });
+  SortByKey(buffer_.column(sort_col_), descending_, &order);
   uint64_t n = order.size();
   if (limit_ > 0) n = std::min<uint64_t>(n, limit_);
   for (uint64_t start = 0; start < n; start += kVectorSize) {
@@ -124,9 +200,8 @@ OperatorTraits DecodeOperator::traits() const {
 }
 
 Status DecodeOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
-  RecordIn(input);
+  RecordPassThrough(input);
   out->push_back(std::move(input));
-  RecordOut(out->back());
   return Status::OK();
 }
 
@@ -140,9 +215,8 @@ OperatorTraits EncodeOperator::traits() const {
 }
 
 Status EncodeOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
-  RecordIn(input);
+  RecordPassThrough(input);
   out->push_back(std::move(input));
-  RecordOut(out->back());
   return Status::OK();
 }
 

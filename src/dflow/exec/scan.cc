@@ -1,5 +1,7 @@
 #include "dflow/exec/scan.h"
 
+#include <algorithm>
+
 #include "dflow/common/logging.h"
 
 namespace dflow {
@@ -68,8 +70,7 @@ Result<TableScanSource> TableScanSource::Make(
   return src;
 }
 
-Result<std::vector<ScanBatch>> TableScanSource::Produce(
-    ScanStats* stats) const {
+std::vector<ScanBatch> TableScanSource::Plan(ScanStats* stats) const {
   ScanStats local;
   local.row_groups_total = table_->num_row_groups();
   std::vector<ScanBatch> batches;
@@ -88,20 +89,37 @@ Result<std::vector<ScanBatch>> TableScanSource::Produce(
     }
     const uint64_t encoded_bytes = rg.EncodedBytes(column_indices_);
     local.encoded_bytes_read += encoded_bytes;
-    DFLOW_ASSIGN_OR_RETURN(std::vector<DataChunk> chunks,
-                           rg.DecodeChunks(column_indices_));
     ScanBatch batch;
     batch.device_bytes = encoded_bytes;
+    batch.decoded_bytes = rg.DecodedBytes(column_indices_);
+    batch.row_group = rg_idx;
+    // The chunking of RowGroup::DecodeChunks.
     const uint64_t rg_rows = rg.num_rows();
-    for (DataChunk& chunk : chunks) {
-      local.rows_produced += chunk.num_rows();
+    for (uint64_t start = 0; start < rg_rows; start += kVectorSize) {
+      const uint64_t rows = std::min<uint64_t>(kVectorSize, rg_rows - start);
+      local.rows_produced += rows;
       // Pro-rate the row group's encoded size across its chunks.
-      const uint64_t wire =
-          rg_rows == 0 ? 0
-                       : encoded_bytes * chunk.num_rows() / rg_rows;
-      batch.chunks.push_back(ScanChunk{std::move(chunk), wire});
+      batch.chunks.push_back(
+          ScanChunk{DataChunk(), encoded_bytes * rows / rg_rows, rows});
     }
     batches.push_back(std::move(batch));
+  }
+  if (stats != nullptr) *stats = local;
+  return batches;
+}
+
+Result<std::vector<ScanBatch>> TableScanSource::Produce(
+    ScanStats* stats) const {
+  ScanStats local;
+  std::vector<ScanBatch> batches = Plan(&local);
+  for (ScanBatch& batch : batches) {
+    DFLOW_ASSIGN_OR_RETURN(
+        std::vector<DataChunk> chunks,
+        table_->row_group(batch.row_group).DecodeChunks(column_indices_));
+    DFLOW_CHECK_EQ(chunks.size(), batch.chunks.size());
+    for (size_t i = 0; i < chunks.size(); ++i) {
+      batch.chunks[i].chunk = std::move(chunks[i]);
+    }
   }
   if (stats != nullptr) *stats = local;
   return batches;

@@ -19,6 +19,10 @@ namespace dflow {
 struct ScanChunk {
   DataChunk chunk;
   uint64_t wire_bytes = 0;
+  /// Rows of the chunk. TableScanSource::Plan sets it and leaves `chunk`
+  /// empty; a chunk holding fewer rows than this was planned, not
+  /// produced, and a DataflowGraph refuses to run it.
+  uint64_t rows = 0;
 };
 
 /// One row group's worth of scan output. The media device is charged once
@@ -27,6 +31,9 @@ struct ScanChunk {
 struct ScanBatch {
   std::vector<ScanChunk> chunks;
   uint64_t device_bytes = 0;
+  /// In-memory size of the chunks once decoded, from row-group metadata.
+  uint64_t decoded_bytes = 0;
+  size_t row_group = 0;  // index in the table
 };
 
 /// Columnar scan over a table with projection pushdown (only requested
@@ -50,8 +57,15 @@ class TableScanSource {
     uint64_t encoded_bytes_read = 0;
   };
 
-  /// Decodes the surviving row groups into batches. Host-side work; the
-  /// simulator charges the time to whatever device hosts the scan.
+  /// The scan's shape from row-group metadata alone: one batch per
+  /// surviving row group with its device and decoded bytes, and per chunk
+  /// the row count and wire bytes Produce would give it — but no data.
+  /// Enough to plan and to verify a graph; not to run one.
+  std::vector<ScanBatch> Plan(ScanStats* stats = nullptr) const;
+
+  /// Plan, then decodes every batch's chunks. Host-side work; the
+  /// simulator charges the time to whatever device hosts the scan. The
+  /// only code that decodes a scan.
   Result<std::vector<ScanBatch>> Produce(ScanStats* stats = nullptr) const;
 
  private:

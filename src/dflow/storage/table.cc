@@ -4,6 +4,17 @@
 
 namespace dflow {
 
+RowGroup::RowGroup(uint32_t num_rows, std::vector<EncodedColumn> columns,
+                   std::vector<ZoneMap> zones)
+    : num_rows_(num_rows),
+      columns_(std::move(columns)),
+      zones_(std::move(zones)) {
+  sizes_.reserve(columns_.size());
+  for (const EncodedColumn& col : columns_) {
+    sizes_.push_back(ColumnSizes{col.ByteSize(), DecodedByteSize(col)});
+  }
+}
+
 Result<ColumnVector> RowGroup::DecodeColumnAt(size_t i) const {
   if (i >= columns_.size()) {
     return Status::OutOfRange("column index out of range");
@@ -36,16 +47,23 @@ Result<std::vector<DataChunk>> RowGroup::DecodeChunks(
 uint64_t RowGroup::EncodedBytes(const std::vector<size_t>& indices) const {
   uint64_t bytes = 0;
   for (size_t idx : indices) {
-    DFLOW_CHECK_LT(idx, columns_.size());
-    bytes += columns_[idx].ByteSize();
+    DFLOW_CHECK_LT(idx, sizes_.size());
+    bytes += sizes_[idx].encoded;
   }
   return bytes;
 }
 
 uint64_t RowGroup::EncodedBytes() const {
   uint64_t bytes = 0;
-  for (const EncodedColumn& col : columns_) {
-    bytes += col.ByteSize();
+  for (const ColumnSizes& size : sizes_) bytes += size.encoded;
+  return bytes;
+}
+
+uint64_t RowGroup::DecodedBytes(const std::vector<size_t>& indices) const {
+  uint64_t bytes = 0;
+  for (size_t idx : indices) {
+    DFLOW_CHECK_LT(idx, sizes_.size());
+    bytes += sizes_[idx].decoded;
   }
   return bytes;
 }

@@ -22,11 +22,10 @@ inline constexpr size_t kDefaultRowGroupSize = 65536;
 class RowGroup {
  public:
   RowGroup() = default;
+  /// Records each column's encoded and decoded (DecodedByteSize) sizes up
+  /// front, so planning can size a scan from metadata alone.
   RowGroup(uint32_t num_rows, std::vector<EncodedColumn> columns,
-           std::vector<ZoneMap> zones)
-      : num_rows_(num_rows),
-        columns_(std::move(columns)),
-        zones_(std::move(zones)) {}
+           std::vector<ZoneMap> zones);
 
   uint32_t num_rows() const { return num_rows_; }
   size_t num_columns() const { return columns_.size(); }
@@ -41,14 +40,26 @@ class RowGroup {
   Result<std::vector<DataChunk>> DecodeChunks(
       const std::vector<size_t>& indices) const;
 
-  /// Encoded (on-wire/at-rest) size of the selected columns.
+  /// Encoded (on-wire/at-rest) size of the selected columns, from the
+  /// metadata recorded at construction.
   uint64_t EncodedBytes(const std::vector<size_t>& indices) const;
   uint64_t EncodedBytes() const;
 
+  /// In-memory (decoded) size of the selected columns, from the metadata
+  /// recorded at construction: equals the summed ByteSize() of the chunks
+  /// DecodeChunks(indices) returns, without decoding.
+  uint64_t DecodedBytes(const std::vector<size_t>& indices) const;
+
  private:
+  struct ColumnSizes {
+    uint64_t encoded = 0;  // EncodedColumn::ByteSize
+    uint64_t decoded = 0;  // DecodedByteSize
+  };
+
   uint32_t num_rows_ = 0;
   std::vector<EncodedColumn> columns_;
   std::vector<ZoneMap> zones_;
+  std::vector<ColumnSizes> sizes_;  // per column
 };
 
 /// An immutable columnar table: schema + row groups. Build with TableBuilder.

@@ -336,6 +336,60 @@ TEST_F(CompileTest, CompileVariantIsLazyAndMemoized) {
   EXPECT_EQ(plan->ProgramFor(plan->cpu_only.name), first.ValueOrDie());
 }
 
+// ---------------------------------------------------- compile-time data --
+
+// Planning and compile-time verification read row-group metadata only.
+// Against a table whose every column payload is cut after its metadata was
+// recorded, CompilePlan, strict CompileVariant and Engine::Verify succeed
+// and serialize the intact twin's programs; only execution decodes, and it
+// returns the decode error.
+TEST_F(CompileTest, CompileNeverDecodes) {
+  LineitemSpec spec;
+  spec.rows = 20'000;
+  spec.row_group_size = 8'192;
+  std::shared_ptr<Table> cut = MakeLineitemTable(spec).ValueOrDie();
+  for (size_t g = 0; g < cut->num_row_groups(); ++g) {
+    const RowGroup& rg = cut->row_group(g);
+    for (size_t c = 0; c < rg.num_columns(); ++c) {
+      // Well defined: the Table object itself is not const.
+      const_cast<EncodedColumn&>(rg.encoded_column(c)).data.resize(1);
+    }
+  }
+  Engine broken{sim::FabricConfig{}};
+  ASSERT_TRUE(broken.catalog().Register(cut).ok());
+
+  for (const CataloguedPlan& plan : BuildCatalogue()) {
+    SCOPED_TRACE(plan.name);
+    auto intact_plan = engine_->CompilePlan(plan.spec).ValueOrDie();
+    auto cut_plan_or = broken.CompilePlan(plan.spec);
+    ASSERT_TRUE(cut_plan_or.ok()) << cut_plan_or.status().ToString();
+    auto cut_plan = cut_plan_or.ValueOrDie();
+    ASSERT_EQ(cut_plan->variants.size(), intact_plan->variants.size());
+    for (const Placement* placement :
+         {&intact_plan->variants.front().placement, &intact_plan->cpu_only}) {
+      SCOPED_TRACE(placement->name);
+      ProgramPtr want = engine_
+                            ->CompileVariant(intact_plan.get(), *placement,
+                                             verify::VerifyMode::kStrict)
+                            .ValueOrDie();
+      auto got = broken.CompileVariant(cut_plan.get(), *placement,
+                                       verify::VerifyMode::kStrict);
+      ASSERT_TRUE(got.ok()) << got.status().ToString();
+      EXPECT_EQ(got.ValueOrDie()->SerializeToString(),
+                want->SerializeToString());
+
+      auto verified = broken.Verify(plan.spec, *placement);
+      ASSERT_TRUE(verified.ok()) << verified.status().ToString();
+      EXPECT_EQ(verified.ValueOrDie().ToString(),
+                engine_->Verify(plan.spec, *placement).ValueOrDie().ToString());
+
+      auto run = broken.ExecuteProgram(*got.ValueOrDie());
+      ASSERT_FALSE(run.ok());
+      EXPECT_TRUE(run.status().IsOutOfRange()) << run.status().ToString();
+    }
+  }
+}
+
 // --------------------------------------------------- serving integration --
 
 class CompileServeTest : public ::testing::Test {

@@ -5,7 +5,9 @@
 #include "dflow/exec/filter.h"
 #include "dflow/exec/local_executor.h"
 #include "dflow/exec/misc_ops.h"
+#include "dflow/exec/scan.h"
 #include "dflow/sim/fabric.h"
+#include "dflow/storage/table.h"
 
 namespace dflow {
 namespace {
@@ -322,6 +324,113 @@ TEST(DataflowGraphTest, BroadcastNeedsOutputs) {
   auto bcast = g.AddBroadcastStage("broadcast", fabric.storage_nic());
   ASSERT_TRUE(g.Connect(src, bcast, {}).ok());
   EXPECT_TRUE(g.Run().IsInvalidArgument());
+}
+
+// ------------------------------------------------- planned scan shape --
+
+// 12345 rows in row groups of 5000: the last holds 2345 rows, not a
+// multiple of kVectorSize; ids ascend, so `id >= 5000` prunes the first.
+std::shared_ptr<Table> ScanShapeTable() {
+  const Schema schema({{"id", DataType::kInt64}, {"name", DataType::kString}});
+  DataChunk chunk = DataChunk::EmptyFromSchema(schema);
+  for (int64_t i = 0; i < 12345; ++i) {
+    chunk.column(0).AppendValue(Value::Int64(i));
+    if (i % 7 == 0) {
+      chunk.column(1).AppendNull();
+    } else {
+      chunk.column(1).AppendValue(Value::String(std::string(i % 5, 'x')));
+    }
+  }
+  TableBuilder builder("shape", schema, 5000);
+  DFLOW_CHECK(builder.Append(chunk).ok());
+  return std::make_shared<Table>(builder.Finish().ValueOrDie());
+}
+
+// Plan gives, without decoding, exactly the shape Produce gives with data.
+TEST(TableScanSourceTest, PlanEqualsProduceFieldByField) {
+  const auto table = ScanShapeTable();
+  const ExprPtr prune = Expr::Cmp(CompareOp::kGe, Expr::Col("id"),
+                                  Expr::Lit(Value::Int64(5000)));
+  for (const auto& columns :
+       {std::vector<std::string>{}, std::vector<std::string>{"name"}}) {
+    for (const ExprPtr& predicate : {ExprPtr(), prune}) {
+      SCOPED_TRACE(columns.size());
+      SCOPED_TRACE(predicate != nullptr);
+      const TableScanSource scan =
+          TableScanSource::Make(table, columns, predicate).ValueOrDie();
+      TableScanSource::ScanStats planned_stats;
+      TableScanSource::ScanStats produced_stats;
+      const std::vector<ScanBatch> planned = scan.Plan(&planned_stats);
+      const std::vector<ScanBatch> produced =
+          scan.Produce(&produced_stats).ValueOrDie();
+
+      EXPECT_EQ(planned_stats.row_groups_total, 3u);
+      EXPECT_EQ(planned_stats.row_groups_pruned, predicate ? 1u : 0u);
+      EXPECT_EQ(planned_stats.row_groups_total,
+                produced_stats.row_groups_total);
+      EXPECT_EQ(planned_stats.row_groups_pruned,
+                produced_stats.row_groups_pruned);
+      EXPECT_EQ(planned_stats.rows_produced, produced_stats.rows_produced);
+      EXPECT_EQ(planned_stats.encoded_bytes_read,
+                produced_stats.encoded_bytes_read);
+      ASSERT_EQ(planned.size(), produced.size());
+      ASSERT_EQ(planned.size(), predicate ? 2u : 3u);
+      std::vector<size_t> indices;
+      for (const Field& field : scan.output_schema().fields()) {
+        indices.push_back(table->schema().FieldIndex(field.name).ValueOrDie());
+      }
+      for (size_t b = 0; b < planned.size(); ++b) {
+        SCOPED_TRACE(b);
+        const RowGroup& rg = table->row_group(produced[b].row_group);
+        EXPECT_EQ(produced[b].device_bytes, rg.EncodedBytes(indices));
+        EXPECT_EQ(planned[b].row_group, produced[b].row_group);
+        EXPECT_EQ(planned[b].device_bytes, produced[b].device_bytes);
+        EXPECT_EQ(planned[b].decoded_bytes, produced[b].decoded_bytes);
+        ASSERT_EQ(planned[b].chunks.size(), produced[b].chunks.size());
+        uint64_t chunk_bytes = 0;
+        for (size_t c = 0; c < planned[b].chunks.size(); ++c) {
+          const ScanChunk& p = planned[b].chunks[c];
+          const ScanChunk& d = produced[b].chunks[c];
+          EXPECT_EQ(p.rows, d.rows);
+          EXPECT_EQ(p.wire_bytes, d.wire_bytes);
+          EXPECT_EQ(p.chunk.num_columns(), 0u);
+          EXPECT_EQ(d.chunk.num_rows(), d.rows);
+          EXPECT_EQ(d.chunk.num_columns(), scan.output_schema().num_fields());
+          // The row group's encoded bytes, pro-rated by rows.
+          EXPECT_EQ(d.wire_bytes, produced[b].device_bytes *
+                                      d.chunk.num_rows() / rg.num_rows());
+          chunk_bytes += d.chunk.ByteSize();
+        }
+        EXPECT_EQ(produced[b].decoded_bytes, chunk_bytes);
+      }
+      // The short last row group ends in a short chunk.
+      EXPECT_EQ(planned.back().row_group, 2u);
+      EXPECT_EQ(planned.back().chunks.back().rows, 2345u % kVectorSize);
+    }
+  }
+}
+
+// A planned batch has a shape but no data; running it would silently skip
+// its rows, so Run and Launch refuse it before anything moves.
+TEST(TableScanSourceTest, PlannedBatchesNeverRun) {
+  const auto table = ScanShapeTable();
+  const TableScanSource scan =
+      TableScanSource::Make(table, {}, nullptr).ValueOrDie();
+  for (bool launch : {false, true}) {
+    sim::Fabric fabric;
+    DataflowGraph g(&fabric.simulator());
+    auto src = g.AddSource("scan", fabric.store_media(), sim::CostClass::kScan,
+                           scan.Plan(), scan.output_schema());
+    auto sink = g.AddSink("client");
+    ASSERT_TRUE(g.Connect(src, sink, {}).ok());
+    const Status st = launch ? g.Launch() : g.Run();
+    EXPECT_TRUE(st.IsInvalidArgument()) << st.ToString();
+    EXPECT_NE(st.message().find("planned scan batch"), std::string::npos)
+        << st.ToString();
+    fabric.simulator().Run();
+    EXPECT_EQ(fabric.store_media()->bytes_processed(), 0u);
+    EXPECT_TRUE(g.sink_chunks(sink).empty());
+  }
 }
 
 }  // namespace

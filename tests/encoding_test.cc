@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -298,6 +299,9 @@ void RoundTripAllEncodings(const ColumnVector& col,
     ASSERT_TRUE(decoded.ok())
         << context << " " << EncodingToString(encoding) << ": "
         << decoded.status().message();
+    EXPECT_EQ(DecodedByteSize(encoded.ValueOrDie()),
+              decoded.ValueOrDie().ByteSize())
+        << context << " " << EncodingToString(encoding);
     ExpectColumnsEqual(col, decoded.ValueOrDie(),
                        context + " via " +
                            std::string(EncodingToString(encoding)));
@@ -356,6 +360,52 @@ TEST(EncodeRoundTripTest, ChooseEncodingAlwaysRoundTrips) {
       ExpectColumnsEqual(col, decoded.ValueOrDie(),
                          std::string("chosen ") +
                              std::string(EncodingToString(chosen)));
+    }
+  }
+}
+
+// A column can carry a validity mask with no NULL in it (a slice of a
+// nullable column). Its payload has the validity header set, but the
+// decoded column has no mask, so DecodedByteSize must not count one.
+TEST(EncodeRoundTripTest, DecodedByteSizeCountsAMaskOnlyWithANull) {
+  for (DataType type : kAllTypes) {
+    SCOPED_TRACE(DataTypeToString(type));
+    Random rng(0xD5ULL);
+    ColumnVector col = PlanGen::RandomColumn(&rng, type, 64);
+    col.SetNull(63);
+    ColumnVector all_valid = col.TakeRange(0, 32);
+    ASSERT_TRUE(all_valid.HasNulls());
+    for (Encoding encoding : kAllEncodings) {
+      Result<EncodedColumn> encoded = EncodeColumn(all_valid, encoding);
+      if (!encoded.ok()) continue;
+      const ColumnVector decoded =
+          DecodeColumn(encoded.ValueOrDie()).ValueOrDie();
+      EXPECT_FALSE(decoded.HasNulls());
+      EXPECT_EQ(DecodedByteSize(encoded.ValueOrDie()), decoded.ByteSize())
+          << EncodingToString(encoding);
+    }
+  }
+}
+
+// On a payload DecodeColumn rejects, DecodedByteSize still returns
+// (counting what it could read) instead of reading out of bounds.
+TEST(EncodeRoundTripTest, DecodedByteSizeOfTruncatedPayloadIsBounded) {
+  Random rng(0xD6ULL);
+  for (DataType type : kAllTypes) {
+    ColumnVector col = PlanGen::RandomColumn(&rng, type, 300, 0.2);
+    for (Encoding encoding : kAllEncodings) {
+      Result<EncodedColumn> encoded = EncodeColumn(col, encoding);
+      if (!encoded.ok()) continue;
+      const uint64_t full = DecodedByteSize(encoded.ValueOrDie());
+      for (size_t keep : {size_t{0}, size_t{1}, size_t{5},
+                          encoded.ValueOrDie().data.size() / 2}) {
+        EncodedColumn cut = encoded.ValueOrDie();
+        cut.data.resize(std::min(keep, cut.data.size()));
+        EXPECT_FALSE(DecodeColumn(cut).ok());
+        EXPECT_LE(DecodedByteSize(cut), full)
+            << DataTypeToString(type) << " " << EncodingToString(encoding)
+            << " keep=" << keep;
+      }
     }
   }
 }

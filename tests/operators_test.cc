@@ -621,6 +621,102 @@ TEST(AggregateTest, UnboxedKeyMatchingAgreesWithValueCompare) {
   }
 }
 
+// ---------------------------------------------------------- typed sort --
+
+// One row as text, in column order; `id` makes equal keys distinguishable,
+// so the comparison below sees the exact permutation (stability included).
+std::string RowText(const std::vector<Value>& row) {
+  std::string text;
+  for (const Value& v : row) text += testing::FormatValueTagged(v) + "|";
+  return text;
+}
+
+// SortOperator compares typed key slots. Every comparison must give
+// Value::Compare's answer, so the stable permutation equals that of a boxed
+// stable sort and of the Volcano engine's boxed SortIterator: for every key
+// type, both directions, with and without a limit, over NULLs, duplicate
+// keys and 0.0/-0.0 ties (NaN is excluded: no comparator orders it).
+TEST(SortOperatorTest, TypedKeysMatchBoxedCompareAndVolcano) {
+  std::vector<Field> fields = KeyTypesSchema().fields();
+  fields.push_back({"id", DataType::kInt64});
+  const Schema schema(fields);
+  const size_t rows = 5000;
+  DataChunk input = KeyTypesChunk(rows, /*seed=*/23);
+  std::vector<int64_t> ids(rows);
+  for (size_t i = 0; i < rows; ++i) ids[i] = static_cast<int64_t>(i);
+  input.AddColumn(ColumnVector::FromInt64(std::move(ids)));
+  TableBuilder builder("sorted", schema, /*row_group_size=*/4096);
+  ASSERT_TRUE(builder.Append(input).ok());
+  auto table = std::make_shared<Table>(builder.Finish().ValueOrDie());
+  const std::vector<DataChunk> chunks = table->ToChunks().ValueOrDie();
+  Engine engine{sim::FabricConfig{}};
+  ASSERT_TRUE(engine.catalog().Register(table).ok());
+
+  std::vector<std::vector<Value>> boxed;
+  for (const DataChunk& chunk : chunks) {
+    for (size_t r = 0; r < chunk.num_rows(); ++r) {
+      std::vector<Value> row;
+      for (size_t c = 0; c < chunk.num_columns(); ++c) {
+        row.push_back(chunk.GetValue(r, c));
+      }
+      boxed.push_back(std::move(row));
+    }
+  }
+  auto texts = [](const std::vector<DataChunk>& out) {
+    std::vector<std::string> lines;
+    for (const DataChunk& chunk : out) {
+      for (size_t r = 0; r < chunk.num_rows(); ++r) {
+        std::vector<Value> row;
+        for (size_t c = 0; c < chunk.num_columns(); ++c) {
+          row.push_back(chunk.GetValue(r, c));
+        }
+        lines.push_back(RowText(row));
+      }
+    }
+    return lines;
+  };
+
+  for (const char* key : {"kb", "ki", "kd", "kl", "kf", "ks"}) {
+    for (bool descending : {false, true}) {
+      for (uint64_t limit : {uint64_t{0}, uint64_t{37}}) {
+        SCOPED_TRACE(std::string(key) + (descending ? " desc" : " asc") +
+                     " limit=" + std::to_string(limit));
+        const size_t k = schema.FieldIndex(key).ValueOrDie();
+        std::vector<std::vector<Value>> sorted = boxed;
+        std::stable_sort(sorted.begin(), sorted.end(),
+                         [&](const std::vector<Value>& a,
+                             const std::vector<Value>& b) {
+                           const int cmp = a[k].Compare(b[k]);
+                           return descending ? cmp > 0 : cmp < 0;
+                         });
+        if (limit > 0) sorted.resize(limit);
+        std::vector<std::string> expected;
+        for (const auto& row : sorted) expected.push_back(RowText(row));
+
+        auto op = SortOperator::Make(schema, key, descending, limit)
+                      .ValueOrDie();
+        EXPECT_EQ(texts(RunLocalPipeline(chunks, {op.get()}).ValueOrDie()),
+                  expected);
+
+        QuerySpec spec;
+        spec.table = "sorted";
+        spec.order_by = SortSpec{key, descending, limit};
+        auto volcano = engine.ExecuteOnVolcano(spec, /*pool_pages=*/256);
+        ASSERT_TRUE(volcano.ok()) << volcano.status().ToString();
+        std::vector<std::string> volcano_rows;
+        for (const volcano::Row& row : volcano.ValueOrDie().rows) {
+          volcano_rows.push_back(RowText(row));
+        }
+        EXPECT_EQ(volcano_rows, expected);
+
+        auto dataflow = engine.Execute(spec);
+        ASSERT_TRUE(dataflow.ok()) << dataflow.status().ToString();
+        EXPECT_EQ(texts(dataflow.ValueOrDie().chunks), expected);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------------- fusion --
 
 // A fused kernel moves each chunk through its members; its output must be

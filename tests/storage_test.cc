@@ -6,6 +6,7 @@
 #include "dflow/storage/table.h"
 #include "dflow/storage/table_io.h"
 #include "dflow/storage/zone_map.h"
+#include "dflow/testing/plan_gen.h"
 
 namespace dflow {
 namespace {
@@ -257,6 +258,47 @@ TEST(TableIoTest, WriteAndReadBack) {
   ASSERT_EQ(orig.size(), back.size());
   EXPECT_EQ(orig[0].GetValue(5, 1).string_value(),
             back[0].GetValue(5, 1).string_value());
+}
+
+// Row groups record each column's decoded size when they are built, both
+// by TableBuilder and when a stored table is loaded; it must be exactly
+// what decoding the column (or the row group's chunks) yields.
+TEST(TableIoTest, DecodedBytesMetadataSurvivesRoundTrip) {
+  const Schema schema({{"b", DataType::kBool},
+                       {"i", DataType::kInt32},
+                       {"l", DataType::kInt64},
+                       {"f", DataType::kDouble},
+                       {"s", DataType::kString},
+                       {"d", DataType::kDate32}});
+  Random rng(11);
+  std::vector<ColumnVector> cols;
+  for (const Field& field : schema.fields()) {
+    cols.push_back(testing::PlanGen::RandomColumn(&rng, field.type, 2500,
+                                                  /*null_prob=*/0.1));
+  }
+  TableBuilder builder("types", schema, 1000);
+  ASSERT_TRUE(builder.Append(DataChunk(std::move(cols))).ok());
+  Table table = builder.Finish().ValueOrDie();
+  ObjectStore store;
+  ASSERT_TRUE(WriteTableToStore(table, &store).ok());
+  Table loaded = ReadTableFromStore(store, "types").ValueOrDie();
+  ASSERT_EQ(loaded.num_row_groups(), 3u);
+
+  const std::vector<size_t> all = {0, 1, 2, 3, 4, 5};
+  for (size_t g = 0; g < loaded.num_row_groups(); ++g) {
+    SCOPED_TRACE(g);
+    const RowGroup& rg = loaded.row_group(g);
+    for (size_t c : all) {
+      SCOPED_TRACE(c);
+      EXPECT_EQ(rg.DecodedBytes({c}),
+                rg.DecodeColumnAt(c).ValueOrDie().ByteSize());
+      EXPECT_EQ(rg.DecodedBytes({c}), table.row_group(g).DecodedBytes({c}));
+    }
+    const std::vector<DataChunk> chunks = rg.DecodeChunks(all).ValueOrDie();
+    uint64_t chunk_bytes = 0;
+    for (const DataChunk& chunk : chunks) chunk_bytes += chunk.ByteSize();
+    EXPECT_EQ(rg.DecodedBytes(all), chunk_bytes);
+  }
 }
 
 TEST(TableIoTest, ColumnGranularReadTouchesFewerBytes) {
