@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <cstring>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dflow/common/status.h"
@@ -39,7 +40,7 @@ class ByteWriter {
     std::memcpy(out_->data() + offset, data, len);
   }
 
-  void PutString(const std::string& s) {
+  void PutString(std::string_view s) {
     PutU32(static_cast<uint32_t>(s.size()));
     PutBytes(s.data(), s.size());
   }
@@ -96,12 +97,21 @@ class ByteReader {
   }
 
   Status GetString(std::string* out) {
+    std::string_view view;
+    DFLOW_RETURN_NOT_OK(GetStringView(&view));
+    out->assign(view);
+    return Status::OK();
+  }
+
+  /// Like GetString, but `out` views the input buffer, which must outlive
+  /// it.
+  Status GetStringView(std::string_view* out) {
     uint32_t len = 0;
     DFLOW_RETURN_NOT_OK(GetU32(&len));
     if (remaining() < len) {
       return Status::OutOfRange("ByteReader: truncated string");
     }
-    out->assign(reinterpret_cast<const char*>(data_ + pos_), len);
+    *out = std::string_view(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;
     return Status::OK();
   }

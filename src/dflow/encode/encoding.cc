@@ -92,9 +92,11 @@ Status EncodePlain(const ColumnVector& col, ByteWriter* w) {
     case DataType::kDouble:
       w->PutBytes(col.f64().data(), n * sizeof(double));
       break;
-    case DataType::kString:
-      for (const std::string& s : col.strs()) w->PutString(s);
+    case DataType::kString: {
+      const StringArena& strs = col.strs();
+      for (size_t i = 0; i < n; ++i) w->PutString(strs[i]);
       break;
+    }
   }
   return Status::OK();
 }
@@ -115,9 +117,13 @@ Status DecodePlain(ByteReader* r, size_t n, ColumnVector* col) {
       col->f64().resize(n);
       return r->GetBytes(col->f64().data(), n * sizeof(double));
     case DataType::kString: {
-      col->strs().resize(n);
+      // Every row costs a 4-byte length, so the rest is a bound on its bytes.
+      StringArena& strs = col->strs();
+      strs.Reserve(n, r->remaining() - std::min(r->remaining(), 4 * n));
       for (size_t i = 0; i < n; ++i) {
-        DFLOW_RETURN_NOT_OK(r->GetString(&col->strs()[i]));
+        std::string_view s;
+        DFLOW_RETURN_NOT_OK(r->GetStringView(&s));
+        strs.Append(s);
       }
       return Status::OK();
     }
@@ -166,19 +172,19 @@ Status EncodeDictionary(const ColumnVector& col, ByteWriter* w) {
   if (col.type() != DataType::kString) {
     return Status::InvalidArgument("dictionary encoding supports strings only");
   }
-  const auto& values = col.strs();
-  std::unordered_map<std::string, uint32_t> dict;
-  std::vector<const std::string*> entries;
+  const StringArena& values = col.strs();
+  std::unordered_map<std::string_view, uint32_t> dict;
+  std::vector<std::string_view> entries;
   std::vector<uint32_t> codes;
   codes.reserve(values.size());
-  for (const std::string& s : values) {
+  for (size_t i = 0; i < values.size(); ++i) {
     auto [it, inserted] =
-        dict.emplace(s, static_cast<uint32_t>(entries.size()));
-    if (inserted) entries.push_back(&it->first);
+        dict.emplace(values[i], static_cast<uint32_t>(entries.size()));
+    if (inserted) entries.push_back(it->first);
     codes.push_back(it->second);
   }
   w->PutU32(static_cast<uint32_t>(entries.size()));
-  for (const std::string* s : entries) w->PutString(*s);
+  for (std::string_view s : entries) w->PutString(s);
   for (uint32_t code : codes) w->PutU32(code);
   return Status::OK();
 }
@@ -186,19 +192,27 @@ Status EncodeDictionary(const ColumnVector& col, ByteWriter* w) {
 Status DecodeDictionary(ByteReader* r, size_t n, ColumnVector* col) {
   uint32_t dict_size = 0;
   DFLOW_RETURN_NOT_OK(r->GetU32(&dict_size));
-  std::vector<std::string> entries(dict_size);
+  // Each entry costs at least its 4-byte length, which bounds the reserve
+  // a corrupt count can ask for.
+  std::vector<std::string_view> entries;
+  entries.reserve(std::min<size_t>(dict_size, r->remaining() / 4));
   for (uint32_t i = 0; i < dict_size; ++i) {
-    DFLOW_RETURN_NOT_OK(r->GetString(&entries[i]));
+    std::string_view entry;
+    DFLOW_RETURN_NOT_OK(r->GetStringView(&entry));
+    entries.push_back(entry);
   }
-  col->strs().reserve(n);
+  // Sized by what the payload can hold: on a truncated one, the read of
+  // code i fails before i reaches the end.
+  std::vector<uint32_t> codes(std::min(n, r->remaining() / 4));
   for (size_t i = 0; i < n; ++i) {
     uint32_t code = 0;
     DFLOW_RETURN_NOT_OK(r->GetU32(&code));
     if (code >= dict_size) {
       return Status::OutOfRange("dictionary: code out of range");
     }
-    col->strs().push_back(entries[code]);
+    codes[i] = code;
   }
+  col->strs().AppendViews(n, [&](size_t i) { return entries[codes[i]]; });
   return Status::OK();
 }
 
@@ -416,9 +430,10 @@ Encoding ChooseEncoding(const ColumnVector& col) {
       return Encoding::kPlain;
     case DataType::kString: {
       // Dictionary pays off when the distinct count is small.
+      const StringArena& strs = col.strs();
       std::unordered_map<std::string_view, int> distinct;
-      for (const std::string& s : col.strs()) {
-        distinct.emplace(s, 0);
+      for (size_t i = 0; i < n; ++i) {
+        distinct.emplace(strs[i], 0);
         if (distinct.size() > n / 4 + 1) return Encoding::kPlain;
       }
       return Encoding::kDictionary;

@@ -19,8 +19,8 @@ Status JoinHashTable::Insert(const DataChunk& chunk) {
   std::vector<uint64_t> hashes;
   DFLOW_RETURN_NOT_OK(HashColumn(chunk.column(key_col_), &hashes));
   const uint32_t base = static_cast<uint32_t>(rows_.num_rows());
+  rows_.Append(chunk);
   for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    rows_.AppendRowFrom(chunk, r);
     if (chunk.column(key_col_).IsValid(r)) {  // NULL keys never join
       table_[hashes[r]].push_back(base + static_cast<uint32_t>(r));
     }

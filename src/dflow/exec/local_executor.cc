@@ -35,11 +35,7 @@ DataChunk ConcatChunks(const std::vector<DataChunk>& chunks) {
   for (size_t c = 0; c < chunks[0].num_columns(); ++c) {
     out.AddColumn(ColumnVector(chunks[0].column(c).type()));
   }
-  for (const DataChunk& chunk : chunks) {
-    for (size_t r = 0; r < chunk.num_rows(); ++r) {
-      out.AppendRowFrom(chunk, r);
-    }
-  }
+  for (const DataChunk& chunk : chunks) out.Append(chunk);
   return out;
 }
 

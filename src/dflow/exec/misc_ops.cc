@@ -87,9 +87,7 @@ OperatorTraits SortOperator::traits() const {
 Status SortOperator::Push(DataChunk input, std::vector<DataChunk>* out) {
   (void)out;
   RecordIn(input);
-  for (size_t r = 0; r < input.num_rows(); ++r) {
-    buffer_.AppendRowFrom(input, r);
-  }
+  buffer_.Append(input);
   return Status::OK();
 }
 
@@ -163,7 +161,7 @@ void SortByKey(const ColumnVector& key, bool descending,
       return;
     }
     case DataType::kString: {
-      const std::vector<std::string>& v = key.strs();
+      const StringArena& v = key.strs();
       StableSortRows(key, descending, order, [&](uint32_t a, uint32_t b) {
         return v[a].compare(v[b]);
       });

@@ -88,7 +88,7 @@ std::vector<DataChunk> CanonicalOrder(const std::vector<DataChunk>& chunks) {
       first = false;
       continue;
     }
-    for (size_t r = 0; r < c.num_rows(); ++r) all.AppendRowFrom(c, r);
+    all.Append(c);
   }
 
   std::vector<uint32_t> order(all.num_rows());

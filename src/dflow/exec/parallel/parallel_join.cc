@@ -162,11 +162,7 @@ Result<ParallelJoinResult> RunParallelHashJoin(
               }
               if (kept.empty()) return;
               chunk = std::move(kept[0]);
-              for (size_t k = 1; k < kept.size(); ++k) {
-                for (size_t r = 0; r < kept[k].num_rows(); ++r) {
-                  chunk.AppendRowFrom(kept[k], r);
-                }
-              }
+              for (size_t k = 1; k < kept.size(); ++k) chunk.Append(kept[k]);
             }
             if (chunk.empty()) return;
             std::vector<DataChunk> parts;

@@ -1,5 +1,7 @@
 #include "dflow/storage/table.h"
 
+#include <algorithm>
+
 #include "dflow/common/logging.h"
 
 namespace dflow {
@@ -123,8 +125,11 @@ Status TableBuilder::Append(const DataChunk& chunk) {
   if (!chunk.IsWellFormed()) {
     return Status::InvalidArgument("chunk columns have unequal lengths");
   }
-  for (size_t r = 0; r < chunk.num_rows(); ++r) {
-    pending_.AppendRowFrom(chunk, r);
+  for (size_t start = 0; start < chunk.num_rows();) {
+    const size_t count = std::min(chunk.num_rows() - start,
+                                  row_group_size_ - pending_.num_rows());
+    pending_.AppendRange(chunk, start, count);
+    start += count;
     if (pending_.num_rows() >= row_group_size_) {
       DFLOW_RETURN_NOT_OK(FlushRowGroup());
     }

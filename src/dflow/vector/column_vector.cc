@@ -1,12 +1,39 @@
 #include "dflow/vector/column_vector.h"
 
-#include <iterator>
+#include <algorithm>
+#include <type_traits>
 
 #include "dflow/common/logging.h"
 
 namespace dflow {
 
+void StringArena::AppendRange(const StringArena& other, size_t start,
+                              size_t count) {
+  DFLOW_CHECK_LE(start + count, other.size());
+  if (count == 0) return;
+  const uint32_t from = other.offsets_[start];
+  CheckRoom(other.offsets_[start + count] - from);
+  if (offsets_.empty()) offsets_.push_back(0);
+  const uint32_t base = static_cast<uint32_t>(bytes_.size());
+  bytes_.insert(bytes_.end(), other.bytes_.begin() + from,
+                other.bytes_.begin() + other.offsets_[start + count]);
+  const size_t first = offsets_.size();
+  offsets_.resize(first + count);
+  for (size_t i = 0; i < count; ++i) {
+    offsets_[first + i] = other.offsets_[start + 1 + i] - from + base;
+  }
+}
+
+void StringArena::Reserve(size_t rows, size_t bytes) {
+  offsets_.reserve(rows + 1);
+  bytes_.reserve(bytes);
+}
+
 namespace {
+// True for the string storage inside a std::visit over ColumnVector::data_.
+template <typename Storage>
+constexpr bool kIsArena = std::is_same_v<std::decay_t<Storage>, StringArena>;
+
 // Physical storage kind for each logical type.
 enum class Phys { kU8, kI32, kI64, kF64, kStr };
 
@@ -43,7 +70,7 @@ void ColumnVector::InitStorage() {
       data_ = std::vector<double>();
       break;
     case Phys::kStr:
-      data_ = std::vector<std::string>();
+      data_ = StringArena();
       break;
   }
 }
@@ -66,9 +93,11 @@ ColumnVector ColumnVector::FromDouble(std::vector<double> values) {
   return col;
 }
 
-ColumnVector ColumnVector::FromString(std::vector<std::string> values) {
+ColumnVector ColumnVector::FromString(const std::vector<std::string>& values) {
   ColumnVector col(DataType::kString);
-  col.data_ = std::move(values);
+  col.strs().AppendViews(values.size(), [&](size_t i) {
+    return std::string_view(values[i]);
+  });
   return col;
 }
 
@@ -113,7 +142,7 @@ Value ColumnVector::GetValue(size_t i) const {
     case DataType::kDouble:
       return Value::Double(f64()[i]);
     case DataType::kString:
-      return Value::String(strs()[i]);
+      return Value::String(std::string(strs()[i]));
   }
   return Value();
 }
@@ -140,7 +169,7 @@ void ColumnVector::AppendValue(const Value& v) {
       f64().push_back(v.double_value());
       break;
     case DataType::kString:
-      strs().push_back(v.string_value());
+      strs().Append(v.string_value());
       break;
   }
   if (!validity_.empty()) validity_.push_back(1);
@@ -149,7 +178,15 @@ void ColumnVector::AppendValue(const Value& v) {
 void ColumnVector::AppendNull() {
   EnsureValidity();
   // Append a placeholder slot in the data storage.
-  std::visit([](auto& v) { v.emplace_back(); }, data_);
+  std::visit(
+      [](auto& v) {
+        if constexpr (kIsArena<decltype(v)>) {
+          v.Append({});
+        } else {
+          v.emplace_back();
+        }
+      },
+      data_);
   validity_.push_back(0);
 }
 
@@ -174,30 +211,91 @@ void ColumnVector::AppendFrom(const ColumnVector& other, size_t index) {
       f64().push_back(other.f64()[index]);
       break;
     case Phys::kStr:
-      strs().push_back(other.strs()[index]);
+      strs().Append(other.strs()[index]);
       break;
   }
   if (!validity_.empty()) validity_.push_back(1);
 }
 
+void ColumnVector::AppendRange(const ColumnVector& other, size_t start,
+                               size_t count) {
+  DFLOW_CHECK(type_ == other.type_);
+  DFLOW_CHECK_LE(start + count, other.size());
+  const size_t base = size();
+  // AppendFrom turns a NULL slot into AppendNull: a mask appears only on a
+  // real NULL, and the slot gets a placeholder, not the source's bytes.
+  const uint8_t* valid =
+      other.HasNulls() ? other.validity_.data() + start : nullptr;
+  const bool other_nulls =
+      valid != nullptr && std::find(valid, valid + count, 0) != valid + count;
+  if (other_nulls) {
+    if (validity_.empty()) validity_.assign(base, 1);
+    validity_.insert(validity_.end(), valid, valid + count);
+  } else if (!validity_.empty()) {
+    validity_.resize(base + count, 1);
+  }
+  std::visit(
+      [&](auto& dst) {
+        using Storage = std::decay_t<decltype(dst)>;
+        const Storage& src = std::get<Storage>(other.data_);
+        if constexpr (kIsArena<Storage>) {
+          if (!other_nulls) {
+            dst.AppendRange(src, start, count);
+            return;
+          }
+          dst.AppendViews(count, [&](size_t i) {
+            return valid[i] != 0 ? src[start + i] : std::string_view();
+          });
+        } else {
+          const auto first = src.begin() + static_cast<std::ptrdiff_t>(start);
+          dst.insert(dst.end(), first,
+                     first + static_cast<std::ptrdiff_t>(count));
+          if (!other_nulls) return;
+          for (size_t i = 0; i < count; ++i) {
+            if (valid[i] == 0) dst[base + i] = {};
+          }
+        }
+      },
+      data_);
+}
+
 void ColumnVector::Reserve(size_t n) {
-  std::visit([n](auto& v) { v.reserve(n); }, data_);
+  std::visit(
+      [n](auto& v) {
+        if constexpr (kIsArena<decltype(v)>) {
+          v.Reserve(n, 0);
+        } else {
+          v.reserve(n);
+        }
+      },
+      data_);
 }
 
 void ColumnVector::Clear() {
-  std::visit([](auto& v) { v.clear(); }, data_);
+  std::visit(
+      [](auto& v) {
+        if constexpr (kIsArena<decltype(v)>) {
+          v.Clear();
+        } else {
+          v.clear();
+        }
+      },
+      data_);
   validity_.clear();
 }
 
 ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
   ColumnVector out(type_);
-  out.Reserve(sel.size());
   const bool has_nulls = HasNulls();
   std::visit(
       [&](const auto& src) {
-        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
-        for (size_t i = 0; i < sel.size(); ++i) {
-          dst.push_back(src[sel[i]]);
+        using Storage = std::decay_t<decltype(src)>;
+        auto& dst = std::get<Storage>(out.data_);
+        if constexpr (kIsArena<Storage>) {
+          dst.AppendViews(sel.size(), [&](size_t i) { return src[sel[i]]; });
+        } else {
+          dst.resize(sel.size());
+          for (size_t i = 0; i < sel.size(); ++i) dst[i] = src[sel[i]];
         }
       },
       data_);
@@ -210,16 +308,20 @@ ColumnVector ColumnVector::Gather(const SelectionVector& sel) const {
   return out;
 }
 
-ColumnVector ColumnVector::TakeRange(size_t start, size_t count) {
+ColumnVector ColumnVector::TakeRange(size_t start, size_t count) const {
   DFLOW_CHECK_LE(start + count, size());
   ColumnVector out(type_);
   std::visit(
-      [&](auto& src) {
-        auto& dst = std::get<std::decay_t<decltype(src)>>(out.data_);
-        const auto first = src.begin() + static_cast<std::ptrdiff_t>(start);
-        dst.assign(std::make_move_iterator(first),
-                   std::make_move_iterator(
-                       first + static_cast<std::ptrdiff_t>(count)));
+      [&](const auto& src) {
+        using Storage = std::decay_t<decltype(src)>;
+        auto& dst = std::get<Storage>(out.data_);
+        if constexpr (kIsArena<Storage>) {
+          dst.Reserve(count, 0);  // the byte range is copied in one go
+          dst.AppendRange(src, start, count);
+        } else {
+          const auto first = src.begin() + static_cast<std::ptrdiff_t>(start);
+          dst.assign(first, first + static_cast<std::ptrdiff_t>(count));
+        }
       },
       data_);
   if (HasNulls()) {
@@ -232,9 +334,8 @@ ColumnVector ColumnVector::TakeRange(size_t start, size_t count) {
 uint64_t ColumnVector::ByteSize() const {
   uint64_t bytes = 0;
   if (type_ == DataType::kString) {
-    for (const std::string& s : strs()) {
-      bytes += s.size() + 4;  // 4-byte length prefix on the wire
-    }
+    // 4-byte length prefix per row on the wire.
+    bytes = strs().num_bytes() + 4 * static_cast<uint64_t>(size());
   } else {
     bytes = static_cast<uint64_t>(size()) * FixedWidthBytes(type_);
   }

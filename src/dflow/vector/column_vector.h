@@ -2,10 +2,14 @@
 #define DFLOW_VECTOR_COLUMN_VECTOR_H_
 
 #include <cstdint>
+#include <cstring>
+#include <limits>
 #include <string>
+#include <string_view>
 #include <variant>
 #include <vector>
 
+#include "dflow/common/logging.h"
 #include "dflow/types/data_type.h"
 #include "dflow/types/value.h"
 
@@ -30,18 +34,99 @@ class SelectionVector {
   std::vector<uint32_t> indices_;
 };
 
+/// Storage of a string column: every row's bytes back to back in one byte
+/// arena, plus n + 1 offsets with offsets[0] = 0, so row i is the byte range
+/// [offsets[i], offsets[i + 1]). Offsets are 32-bit, like the wire's 4-byte
+/// length prefix; an arena that would pass 4 GiB fails a DFLOW_CHECK. An
+/// empty arena may hold no offsets at all (until its first row), so making,
+/// clearing or moving from one never allocates.
+class StringArena {
+ public:
+  size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
+
+  /// Row i; valid until the next append, Reserve or Clear.
+  std::string_view operator[](size_t i) const {
+    return std::string_view(bytes_.data() + offsets_[i],
+                            offsets_[i + 1] - offsets_[i]);
+  }
+
+  /// Appends one row; `s` must not view this arena.
+  void Append(std::string_view s) {
+    CheckRoom(s.size());
+    if (offsets_.empty()) offsets_.push_back(0);
+    bytes_.insert(bytes_.end(), s.begin(), s.end());
+    offsets_.push_back(static_cast<uint32_t>(bytes_.size()));
+  }
+
+  /// Appends `count` rows, row i holding the bytes of `view_at(i)`: the
+  /// arena grows once, then each row is one copy. `view_at` is called twice
+  /// per row and must not view this arena.
+  template <typename ViewAt>
+  void AppendViews(size_t count, ViewAt view_at) {
+    size_t total = 0;
+    for (size_t i = 0; i < count; ++i) total += view_at(i).size();
+    CheckRoom(total);
+    if (count == 0) return;
+    if (offsets_.empty()) offsets_.push_back(0);
+    size_t end = bytes_.size();
+    const size_t first = offsets_.size();
+    bytes_.resize(end + total);
+    offsets_.resize(first + count);
+    for (size_t i = 0; i < count; ++i) {
+      const std::string_view s = view_at(i);
+      CopyBytes(bytes_.data() + end, s);
+      end += s.size();
+      offsets_[first + i] = static_cast<uint32_t>(end);
+    }
+  }
+
+  /// Appends rows [start, start + count) of `other`: one copy of their
+  /// bytes, and their offsets rebased onto this arena.
+  void AppendRange(const StringArena& other, size_t start, size_t count);
+
+  void Reserve(size_t rows, size_t bytes);
+  void Clear() {
+    bytes_.clear();
+    offsets_.clear();
+  }
+
+  /// Bytes of all rows, NULL slots included.
+  size_t num_bytes() const { return bytes_.size(); }
+
+ private:
+  // Short rows are copied byte by byte: for the one-byte flags and short
+  // codes that string keys mostly are, a memcpy call costs more than the
+  // copy itself.
+  static void CopyBytes(char* dst, std::string_view s) {
+    if (s.size() <= 16) {
+      for (size_t j = 0; j < s.size(); ++j) dst[j] = s[j];
+    } else {
+      std::memcpy(dst, s.data(), s.size());
+    }
+  }
+
+  void CheckRoom(size_t more) const {
+    DFLOW_CHECK_LE(more, std::numeric_limits<uint32_t>::max() - bytes_.size())
+        << "string column exceeds 4 GiB of bytes";
+  }
+
+  std::vector<char> bytes_;
+  std::vector<uint32_t> offsets_;  // empty, or size() + 1 entries
+};
+
 /// A typed column of values with optional null tracking.
 ///
-/// Storage is one std::vector chosen by physical type:
-///   kBool            -> uint8_t
-///   kInt32, kDate32  -> int32_t
-///   kInt64           -> int64_t
-///   kDouble          -> double
-///   kString          -> std::string
+/// Storage is chosen by physical type:
+///   kBool            -> std::vector<uint8_t>
+///   kInt32, kDate32  -> std::vector<int32_t>
+///   kInt64           -> std::vector<int64_t>
+///   kDouble          -> std::vector<double>
+///   kString          -> StringArena (one byte arena plus offsets)
 ///
 /// Validity is a byte-per-row mask, allocated lazily on the first null
-/// (columns with no nulls pay nothing). ByteSize() reports the wire size of
-/// the column — the quantity every data-movement experiment accounts in.
+/// (columns with no nulls pay nothing). A NULL slot keeps whatever bytes it
+/// held before SetNull. ByteSize() reports the wire size of the column — the
+/// quantity every data-movement experiment accounts in — in O(1).
 class ColumnVector {
  public:
   ColumnVector() : type_(DataType::kInt64) { InitStorage(); }
@@ -56,7 +141,7 @@ class ColumnVector {
   static ColumnVector FromInt32(std::vector<int32_t> values);
   static ColumnVector FromInt64(std::vector<int64_t> values);
   static ColumnVector FromDouble(std::vector<double> values);
-  static ColumnVector FromString(std::vector<std::string> values);
+  static ColumnVector FromString(const std::vector<std::string>& values);
   static ColumnVector FromBool(std::vector<uint8_t> values);
   static ColumnVector FromDate32(std::vector<int32_t> days);
 
@@ -80,12 +165,8 @@ class ColumnVector {
   const std::vector<double>& f64() const {
     return std::get<std::vector<double>>(data_);
   }
-  std::vector<std::string>& strs() {
-    return std::get<std::vector<std::string>>(data_);
-  }
-  const std::vector<std::string>& strs() const {
-    return std::get<std::vector<std::string>>(data_);
-  }
+  StringArena& strs() { return std::get<StringArena>(data_); }
+  const StringArena& strs() const { return std::get<StringArena>(data_); }
 
   /// Null handling. The mask is lazily allocated: HasNulls() is false until
   /// the first SetNull/AppendNull.
@@ -98,8 +179,16 @@ class ColumnVector {
   void AppendValue(const Value& v);
   void AppendNull();
 
-  /// Appends `other[index]` to this column. Types must match.
+  /// Appends `other[index]` to this column. Types must match. A NULL slot
+  /// is appended as AppendNull does: an empty or zero placeholder.
   void AppendFrom(const ColumnVector& other, size_t index);
+
+  /// Appends rows [start, start + count) of `other` in bulk (for strings,
+  /// one byte copy plus rebased offsets), leaving exactly what AppendFrom on
+  /// each of those rows in order would: the same values, placeholders and
+  /// validity mask.
+  void AppendRange(const ColumnVector& other, size_t start, size_t count);
+  void Append(const ColumnVector& other) { AppendRange(other, 0, other.size()); }
 
   void Reserve(size_t n);
   void Clear();
@@ -107,14 +196,14 @@ class ColumnVector {
   /// New column containing the selected rows, in selection order.
   ColumnVector Gather(const SelectionVector& sel) const;
 
-  /// Moves rows [start, start + count) out into a new column, leaving those
-  /// slots here valid but unspecified. The result carries a validity mask
-  /// exactly when this column has one, so its ByteSize() equals that of a
-  /// Gather of the same rows.
-  ColumnVector TakeRange(size_t start, size_t count);
+  /// New column with rows [start, start + count), copied as one block (for
+  /// strings, one byte range with rebased offsets); this column is left as
+  /// it was. The result carries a validity mask exactly when this column
+  /// has one, so its ByteSize() equals that of a Gather of the same rows.
+  ColumnVector TakeRange(size_t start, size_t count) const;
 
-  /// Wire size in bytes: fixed width * rows, or string byte total plus a
-  /// 4-byte length per row, plus the validity mask if present.
+  /// Wire size in bytes, in O(1): fixed width * rows, or the string arena's
+  /// bytes plus a 4-byte length per row, plus the validity mask if present.
   uint64_t ByteSize() const;
 
  private:
@@ -123,8 +212,7 @@ class ColumnVector {
 
   DataType type_;
   std::variant<std::vector<uint8_t>, std::vector<int32_t>,
-               std::vector<int64_t>, std::vector<double>,
-               std::vector<std::string>>
+               std::vector<int64_t>, std::vector<double>, StringArena>
       data_;
   std::vector<uint8_t> validity_;  // empty == all valid
 };

@@ -23,6 +23,14 @@ void DataChunk::AppendRowFrom(const DataChunk& other, size_t row) {
   }
 }
 
+void DataChunk::AppendRange(const DataChunk& other, size_t start,
+                            size_t count) {
+  DFLOW_CHECK_EQ(columns_.size(), other.columns_.size());
+  for (size_t c = 0; c < columns_.size(); ++c) {
+    columns_[c].AppendRange(other.columns_[c], start, count);
+  }
+}
+
 DataChunk DataChunk::Gather(const SelectionVector& sel) const {
   std::vector<ColumnVector> cols;
   cols.reserve(columns_.size());
@@ -97,11 +105,13 @@ uint64_t ChecksumChunk(const DataChunk& chunk) {
         h = HashCombine(h, HashBytes(col.f64().data(),
                                      col.f64().size() * sizeof(double)));
         break;
-      case DataType::kString:
-        for (const std::string& s : col.strs()) {
-          h = HashCombine(h, HashString(s));
+      case DataType::kString: {
+        const StringArena& strs = col.strs();
+        for (size_t i = 0; i < strs.size(); ++i) {
+          h = HashCombine(h, HashString(strs[i]));
         }
         break;
+      }
     }
     for (size_t i = 0; i < col.size(); ++i) {
       if (!col.IsValid(i)) h = HashCombine(h, i);

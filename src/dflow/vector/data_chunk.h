@@ -43,6 +43,13 @@ class DataChunk {
   /// Appends row `row` of `other` to this chunk (columns must line up).
   void AppendRowFrom(const DataChunk& other, size_t row);
 
+  /// Appends rows [start, start + count) of `other` column by column; the
+  /// result equals AppendRowFrom on each of those rows in order.
+  void AppendRange(const DataChunk& other, size_t start, size_t count);
+  void Append(const DataChunk& other) {
+    AppendRange(other, 0, other.num_rows());
+  }
+
   /// New chunk with only the selected rows (all columns gathered).
   DataChunk Gather(const SelectionVector& sel) const;
 

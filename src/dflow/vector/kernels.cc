@@ -139,10 +139,10 @@ Status CompareToConstant(const ColumnVector& col, CompareOp op,
         return Status::InvalidArgument("cannot compare string column with " +
                                        std::string(DataTypeToString(constant.type())));
       }
-      const auto& d = col.strs();
-      const std::string& c = constant.string_value();
-      CompareLoop<std::string>(n, col, [&](size_t i) { return d[i]; }, op, c,
-                               mask);
+      const StringArena& d = col.strs();
+      const std::string_view c = constant.string_value();
+      CompareLoop<std::string_view>(n, col, [&](size_t i) { return d[i]; }, op,
+                                    c, mask);
       return Status::OK();
     }
     case DataType::kBool: {
@@ -171,8 +171,10 @@ Status CompareColumns(const ColumnVector& a, CompareOp op,
     if (a.type() != DataType::kString || b.type() != DataType::kString) {
       return Status::InvalidArgument("CompareColumns: string vs non-string");
     }
+    const StringArena& sa = a.strs();
+    const StringArena& sb = b.strs();
     for (size_t i = 0; i < n; ++i) {
-      (*mask)[i] = valid(i) && ApplyCompare(op, a.strs()[i], b.strs()[i]);
+      (*mask)[i] = valid(i) && ApplyCompare(op, sa[i], sb[i]);
     }
     return Status::OK();
   }
@@ -221,7 +223,7 @@ Status ComputeLikeMask(const ColumnVector& col, std::string_view pattern,
   }
   const size_t n = col.size();
   mask->assign(n, 0);
-  const auto& d = col.strs();
+  const StringArena& d = col.strs();
   for (size_t i = 0; i < n; ++i) {
     (*mask)[i] = col.IsValid(i) && LikeMatch(d[i], pattern) ? 1 : 0;
   }
@@ -417,7 +419,7 @@ Status HashColumn(const ColumnVector& col, std::vector<uint64_t>* hashes) {
       break;
     }
     case DataType::kString: {
-      const auto& d = col.strs();
+      const StringArena& d = col.strs();
       for (size_t i = 0; i < n; ++i) {
         emit(i, col.IsValid(i) ? HashString(d[i]) : kNullHash);
       }

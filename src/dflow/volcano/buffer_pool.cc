@@ -10,8 +10,8 @@ BufferPool::BufferPool(size_t capacity_pages, CostMeter* meter)
   DFLOW_CHECK(meter != nullptr);
 }
 
-Result<const std::vector<Row>*> BufferPool::GetPage(const HeapFile* file,
-                                                    size_t page_index) {
+Result<BufferPool::PageRows> BufferPool::GetPage(const HeapFile* file,
+                                                size_t page_index) {
   if (file == nullptr || page_index >= file->num_pages()) {
     return Status::OutOfRange("page index out of range");
   }
@@ -22,13 +22,15 @@ Result<const std::vector<Row>*> BufferPool::GetPage(const HeapFile* file,
     lru_.erase(it->second.lru_pos);
     lru_.push_front(key);
     it->second.lru_pos = lru_.begin();
-    return &it->second.rows;
+    return it->second.rows;
   }
   ++misses_;
   const HeapPage& page = file->page(page_index);
   meter_->ChargePageFetch(page.byte_size());
+  auto rows = std::make_shared<DecodedPage>();
+  DFLOW_RETURN_NOT_OK(page.ReadRows(file->schema(), rows.get()));
   Frame frame;
-  DFLOW_RETURN_NOT_OK(page.ReadRows(file->schema(), &frame.rows));
+  frame.rows = std::move(rows);
   frame.page_bytes = page.byte_size();
   EvictIfNeeded();
   lru_.push_front(key);
@@ -37,7 +39,7 @@ Result<const std::vector<Row>*> BufferPool::GetPage(const HeapFile* file,
   peak_resident_bytes_ = std::max(peak_resident_bytes_, resident_bytes_);
   auto [inserted, ok] = frames_.emplace(key, std::move(frame));
   (void)ok;
-  return &inserted->second.rows;
+  return inserted->second.rows;
 }
 
 void BufferPool::EvictIfNeeded() {

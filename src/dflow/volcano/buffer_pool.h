@@ -24,10 +24,12 @@ class BufferPool {
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Returns the decoded rows of (file, page). The pointer stays valid
-  /// until the page is evicted — callers consume it before the next Get.
-  Result<const std::vector<Row>*> GetPage(const HeapFile* file,
-                                          size_t page_index);
+  /// Decoded rows of one page, shared by the pool's frame and every scan
+  /// reading it, so a scan keeps its page after the pool evicts the frame.
+  using PageRows = std::shared_ptr<const DecodedPage>;
+
+  /// Returns the decoded rows of (file, page).
+  Result<PageRows> GetPage(const HeapFile* file, size_t page_index);
 
   size_t capacity_pages() const { return capacity_; }
   size_t resident_pages() const { return frames_.size(); }
@@ -42,7 +44,7 @@ class BufferPool {
  private:
   using PageKey = std::pair<const HeapFile*, size_t>;
   struct Frame {
-    std::vector<Row> rows;
+    PageRows rows;
     uint64_t page_bytes = 0;
     std::list<PageKey>::iterator lru_pos;
   };

@@ -13,14 +13,15 @@ bool HeapPage::TryAppend(const Schema& schema, const Row& row) {
   return true;
 }
 
-Status HeapPage::ReadRows(const Schema& schema, std::vector<Row>* rows) const {
-  rows->clear();
-  rows->reserve(num_rows_);
+Status HeapPage::ReadRows(const Schema& schema, DecodedPage* rows) const {
+  rows->width_ = schema.num_fields();
+  rows->num_rows_ = 0;
+  rows->values_.clear();
+  rows->values_.reserve(num_rows_ * rows->width_);
   ByteReader r(bytes_);
   for (size_t i = 0; i < num_rows_; ++i) {
-    Row row;
-    DFLOW_RETURN_NOT_OK(DeserializeRow(schema, &r, &row));
-    rows->push_back(std::move(row));
+    DFLOW_RETURN_NOT_OK(AppendDeserializedRow(schema, &r, &rows->values_));
+    ++rows->num_rows_;
   }
   return Status::OK();
 }

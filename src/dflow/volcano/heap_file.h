@@ -13,6 +13,27 @@ namespace dflow::volcano {
 /// Target page size of the baseline engine.
 inline constexpr size_t kPageBytes = 8192;
 
+/// The decoded rows of one page, stored flat: row i is the `width` values
+/// starting at i * width, so a page costs one allocation, not one per row.
+class DecodedPage {
+ public:
+  size_t num_rows() const { return num_rows_; }
+
+  /// Copies row i into `row`, reusing its storage.
+  void CopyRow(size_t i, Row* row) const {
+    const auto first =
+        values_.begin() + static_cast<std::ptrdiff_t>(i * width_);
+    row->assign(first, first + static_cast<std::ptrdiff_t>(width_));
+  }
+
+ private:
+  friend class HeapPage;
+
+  size_t width_ = 0;
+  size_t num_rows_ = 0;
+  std::vector<Value> values_;
+};
+
 /// A slotted heap page: serialized rows plus a row count. Immutable once
 /// built (the baseline serves analytics, like the data-flow engine).
 class HeapPage {
@@ -27,7 +48,7 @@ class HeapPage {
   bool TryAppend(const Schema& schema, const Row& row);
 
   /// Decodes all rows on the page.
-  Status ReadRows(const Schema& schema, std::vector<Row>* rows) const;
+  Status ReadRows(const Schema& schema, DecodedPage* rows) const;
 
  private:
   size_t num_rows_ = 0;

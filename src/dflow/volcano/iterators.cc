@@ -43,6 +43,20 @@ uint64_t HashValue(const Value& v) {
   return 0;
 }
 
+// Operands are mostly column references and literals: those are read in
+// place. Anything else is evaluated into `*scratch`. Same values and errors
+// as EvalOnRow on the operand.
+Result<const Value*> EvalOperand(const Expr& expr, const Row& row,
+                                 Value* scratch) {
+  if (expr.kind() == Expr::Kind::kLiteral) return &expr.value();
+  if (expr.kind() == Expr::Kind::kColumnRef && expr.is_resolved() &&
+      expr.column_index() < row.size()) {
+    return &row[expr.column_index()];
+  }
+  DFLOW_ASSIGN_OR_RETURN(*scratch, EvalOnRow(expr, row));
+  return scratch;
+}
+
 }  // namespace
 
 Result<Value> EvalOnRow(const Expr& expr, const Row& row) {
@@ -58,10 +72,13 @@ Result<Value> EvalOnRow(const Expr& expr, const Row& row) {
     case Expr::Kind::kLiteral:
       return expr.value();
     case Expr::Kind::kCompare: {
-      DFLOW_ASSIGN_OR_RETURN(Value l, EvalOnRow(*expr.children()[0], row));
-      DFLOW_ASSIGN_OR_RETURN(Value r, EvalOnRow(*expr.children()[1], row));
-      if (l.is_null() || r.is_null()) return Value::Bool(false);
-      const int cmp = l.Compare(r);
+      Value l_scratch, r_scratch;
+      DFLOW_ASSIGN_OR_RETURN(
+          const Value* l, EvalOperand(*expr.children()[0], row, &l_scratch));
+      DFLOW_ASSIGN_OR_RETURN(
+          const Value* r, EvalOperand(*expr.children()[1], row, &r_scratch));
+      if (l->is_null() || r->is_null()) return Value::Bool(false);
+      const int cmp = l->Compare(*r);
       switch (expr.compare_op()) {
         case CompareOp::kEq:
           return Value::Bool(cmp == 0);
@@ -79,17 +96,20 @@ Result<Value> EvalOnRow(const Expr& expr, const Row& row) {
       return Status::Internal("unreachable");
     }
     case Expr::Kind::kArith: {
-      DFLOW_ASSIGN_OR_RETURN(Value l, EvalOnRow(*expr.children()[0], row));
-      DFLOW_ASSIGN_OR_RETURN(Value r, EvalOnRow(*expr.children()[1], row));
-      if (l.is_null() || r.is_null()) return Value::Null(DataType::kDouble);
-      if (!IsNumeric(l.type()) || !IsNumeric(r.type())) {
+      Value l_scratch, r_scratch;
+      DFLOW_ASSIGN_OR_RETURN(
+          const Value* l, EvalOperand(*expr.children()[0], row, &l_scratch));
+      DFLOW_ASSIGN_OR_RETURN(
+          const Value* r, EvalOperand(*expr.children()[1], row, &r_scratch));
+      if (l->is_null() || r->is_null()) return Value::Null(DataType::kDouble);
+      if (!IsNumeric(l->type()) || !IsNumeric(r->type())) {
         return Status::InvalidArgument("arithmetic on non-numeric values");
       }
       const bool as_double =
-          l.type() == DataType::kDouble || r.type() == DataType::kDouble;
+          l->type() == DataType::kDouble || r->type() == DataType::kDouble;
       if (as_double) {
-        const double a = l.AsDouble();
-        const double b = r.AsDouble();
+        const double a = l->AsDouble();
+        const double b = r->AsDouble();
         switch (expr.arith_op()) {
           case ArithOp::kAdd:
             return Value::Double(a + b);
@@ -101,8 +121,8 @@ Result<Value> EvalOnRow(const Expr& expr, const Row& row) {
             return Value::Double(a / b);
         }
       }
-      const int64_t a = l.AsInt64();
-      const int64_t b = r.AsInt64();
+      const int64_t a = l->AsInt64();
+      const int64_t b = r->AsInt64();
       switch (expr.arith_op()) {
         case ArithOp::kAdd:
           return Value::Int64(a + b);
@@ -117,12 +137,14 @@ Result<Value> EvalOnRow(const Expr& expr, const Row& row) {
       return Status::Internal("unreachable");
     }
     case Expr::Kind::kLike: {
-      DFLOW_ASSIGN_OR_RETURN(Value input, EvalOnRow(*expr.children()[0], row));
-      if (input.is_null()) return Value::Bool(false);
-      if (input.type() != DataType::kString) {
+      Value scratch;
+      DFLOW_ASSIGN_OR_RETURN(
+          const Value* input, EvalOperand(*expr.children()[0], row, &scratch));
+      if (input->is_null()) return Value::Bool(false);
+      if (input->type() != DataType::kString) {
         return Status::InvalidArgument("LIKE requires a string");
       }
-      return Value::Bool(LikeMatch(input.string_value(), expr.pattern()));
+      return Value::Bool(LikeMatch(input->string_value(), expr.pattern()));
     }
     case Expr::Kind::kAnd: {
       for (const ExprPtr& c : expr.children()) {
@@ -158,22 +180,22 @@ SeqScanIterator::SeqScanIterator(const HeapFile* file, VolcanoContext* ctx)
 Status SeqScanIterator::Open() {
   page_ = 0;
   row_in_page_ = 0;
-  current_rows_.clear();
+  current_rows_.reset();
   return Status::OK();
 }
 
 Result<bool> SeqScanIterator::Next(Row* row) {
-  while (row_in_page_ >= current_rows_.size()) {
+  while (current_rows_ == nullptr ||
+         row_in_page_ >= current_rows_->num_rows()) {
     if (page_ >= file_->num_pages()) return false;
-    DFLOW_ASSIGN_OR_RETURN(const std::vector<Row>* rows,
-                           ctx_->pool->GetPage(file_, page_));
-    current_rows_ = *rows;  // copy out: the frame may be evicted
+    // Shared with the frame: the rows outlive its eviction.
+    DFLOW_ASSIGN_OR_RETURN(current_rows_, ctx_->pool->GetPage(file_, page_));
     ctx_->meter->ChargeCpu(file_->page(page_).byte_size(),
                            sim::CostClass::kScan);
     ++page_;
     row_in_page_ = 0;
   }
-  *row = current_rows_[row_in_page_++];
+  current_rows_->CopyRow(row_in_page_++, row);
   ctx_->meter->ChargeRows(1);
   return true;
 }
@@ -218,14 +240,13 @@ Result<RowIteratorPtr> ProjectIterator::Make(RowIteratorPtr child,
 Status ProjectIterator::Open() { return child_->Open(); }
 
 Result<bool> ProjectIterator::Next(Row* row) {
-  Row input;
-  DFLOW_ASSIGN_OR_RETURN(bool has, child_->Next(&input));
+  DFLOW_ASSIGN_OR_RETURN(bool has, child_->Next(&input_));
   if (!has) return false;
   ctx_->meter->ChargeRows(1);
   row->clear();
   row->reserve(exprs_.size());
   for (const ExprPtr& e : exprs_) {
-    DFLOW_ASSIGN_OR_RETURN(Value v, EvalOnRow(*e, input));
+    DFLOW_ASSIGN_OR_RETURN(Value v, EvalOnRow(*e, input_));
     row->push_back(std::move(v));
   }
   return true;
@@ -336,7 +357,6 @@ Status HashAggIterator::Open() {
     DFLOW_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) break;
     ctx_->meter->ChargeRows(1);
-    DataChunk one;
     ++state_rows;
     for (size_t c = 0; c < row.size(); ++c) {
       batch.column(c).AppendValue(row[c]);
@@ -388,8 +408,9 @@ Status SortIterator::Open() {
   while (true) {
     DFLOW_ASSIGN_OR_RETURN(bool has, child_->Next(&row));
     if (!has) break;
-    state_bytes += RowBytes(row);
-    ctx_->meter->ChargeCpu(RowBytes(row), sim::CostClass::kSort);
+    const uint64_t bytes = RowBytes(row);
+    state_bytes += bytes;
+    ctx_->meter->ChargeCpu(bytes, sim::CostClass::kSort);
     ctx_->meter->ChargeRows(1);
     rows_.push_back(std::move(row));
   }

@@ -54,7 +54,7 @@ class SeqScanIterator : public RowIterator {
   const HeapFile* file_;
   VolcanoContext* ctx_;
   size_t page_ = 0;
-  std::vector<Row> current_rows_;
+  BufferPool::PageRows current_rows_;  // null before the first page
   size_t row_in_page_ = 0;
 };
 
@@ -94,6 +94,7 @@ class ProjectIterator : public RowIterator {
   std::vector<ExprPtr> exprs_;
   Schema schema_;
   VolcanoContext* ctx_;
+  Row input_;  // the child's row, reused from call to call
 };
 
 /// Hash equi-join: consumes the build child entirely at Open (charged as

@@ -36,49 +36,54 @@ void SerializeRow(const Schema& schema, const Row& row, ByteWriter* w) {
 Status DeserializeRow(const Schema& schema, ByteReader* r, Row* row) {
   row->clear();
   row->reserve(schema.num_fields());
+  return AppendDeserializedRow(schema, r, row);
+}
+
+Status AppendDeserializedRow(const Schema& schema, ByteReader* r,
+                             std::vector<Value>* values) {
   for (size_t c = 0; c < schema.num_fields(); ++c) {
     uint8_t null_byte = 0;
     DFLOW_RETURN_NOT_OK(r->GetU8(&null_byte));
     const DataType type = schema.field(c).type;
     if (null_byte) {
-      row->push_back(Value::Null(type));
+      values->push_back(Value::Null(type));
       continue;
     }
     switch (type) {
       case DataType::kBool: {
         uint8_t v = 0;
         DFLOW_RETURN_NOT_OK(r->GetU8(&v));
-        row->push_back(Value::Bool(v != 0));
+        values->push_back(Value::Bool(v != 0));
         break;
       }
       case DataType::kInt32: {
         int32_t v = 0;
         DFLOW_RETURN_NOT_OK(r->GetI32(&v));
-        row->push_back(Value::Int32(v));
+        values->push_back(Value::Int32(v));
         break;
       }
       case DataType::kDate32: {
         int32_t v = 0;
         DFLOW_RETURN_NOT_OK(r->GetI32(&v));
-        row->push_back(Value::Date32(v));
+        values->push_back(Value::Date32(v));
         break;
       }
       case DataType::kInt64: {
         int64_t v = 0;
         DFLOW_RETURN_NOT_OK(r->GetI64(&v));
-        row->push_back(Value::Int64(v));
+        values->push_back(Value::Int64(v));
         break;
       }
       case DataType::kDouble: {
         double v = 0;
         DFLOW_RETURN_NOT_OK(r->GetDouble(&v));
-        row->push_back(Value::Double(v));
+        values->push_back(Value::Double(v));
         break;
       }
       case DataType::kString: {
         std::string s;
         DFLOW_RETURN_NOT_OK(r->GetString(&s));
-        row->push_back(Value::String(std::move(s)));
+        values->push_back(Value::String(std::move(s)));
         break;
       }
     }

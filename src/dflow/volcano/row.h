@@ -22,6 +22,10 @@ void SerializeRow(const Schema& schema, const Row& row, ByteWriter* w);
 /// Reads one row back.
 Status DeserializeRow(const Schema& schema, ByteReader* r, Row* row);
 
+/// Reads one row back, appending its values to `values`.
+Status AppendDeserializedRow(const Schema& schema, ByteReader* r,
+                             std::vector<Value>* values);
+
 /// On-page size of a row (what SerializeRow would write).
 uint64_t SerializedRowBytes(const Schema& schema, const Row& row);
 

@@ -260,6 +260,53 @@ TEST(EncodingTest, CorruptDictionaryCodeIsRejected) {
   EXPECT_FALSE(DecodeColumn(ec).ok());
 }
 
+// PLAIN and DICTIONARY payloads of a string column are exactly what the
+// per-row std::string reference spells out, and decode back to the same
+// bytes in every row, NULL slots included (a slot set NULL keeps its bytes).
+TEST(EncodingTest, StringArenaRoundTripsMatchPerRowStrings) {
+  const std::vector<std::string> values = {
+      "flag", "", "a much longer comment string", "flag", "", "x", "flag"};
+  ColumnVector col = ColumnVector::FromString(values);
+  col.SetNull(5);
+
+  std::vector<uint8_t> header;
+  ByteWriter hw(&header);
+  hw.PutU8(1);
+  for (size_t i = 0; i < values.size(); ++i) hw.PutU8(i == 5 ? 0 : 1);
+
+  std::vector<uint8_t> plain = header;
+  ByteWriter pw(&plain);
+  for (const std::string& s : values) pw.PutString(s);
+
+  std::vector<uint8_t> dict = header;
+  ByteWriter dw(&dict);
+  const std::vector<std::string> entries = {
+      "flag", "", "a much longer comment string", "x"};
+  const std::vector<uint32_t> codes = {0, 1, 2, 0, 1, 3, 0};
+  dw.PutU32(static_cast<uint32_t>(entries.size()));
+  for (const std::string& s : entries) dw.PutString(s);
+  for (uint32_t code : codes) dw.PutU32(code);
+
+  uint64_t ref_bytes = values.size();  // the validity mask
+  for (const std::string& s : values) ref_bytes += s.size() + 4;
+
+  for (const auto& [encoding, payload] :
+       std::vector<std::pair<Encoding, std::vector<uint8_t>>>{
+           {Encoding::kPlain, plain}, {Encoding::kDictionary, dict}}) {
+    SCOPED_TRACE(std::string(EncodingToString(encoding)));
+    const EncodedColumn encoded = EncodeColumn(col, encoding).ValueOrDie();
+    EXPECT_EQ(encoded.data, payload);
+    const ColumnVector decoded = DecodeColumn(encoded).ValueOrDie();
+    ASSERT_EQ(decoded.size(), values.size());
+    for (size_t i = 0; i < values.size(); ++i) {
+      EXPECT_EQ(decoded.strs()[i], values[i]) << "row " << i;
+      EXPECT_EQ(decoded.IsValid(i), i != 5) << "row " << i;
+    }
+    EXPECT_EQ(decoded.ByteSize(), ref_bytes);
+    EXPECT_EQ(DecodedByteSize(encoded), ref_bytes);
+  }
+}
+
 // ------------------------- fuzzer-driven sweeps over every (type, encoding)
 
 const DataType kAllTypes[] = {DataType::kBool,   DataType::kInt32,

@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+
 #include "dflow/common/random.h"
 #include "dflow/storage/catalog.h"
 #include "dflow/storage/object_store.h"
@@ -62,6 +65,97 @@ TEST(ZoneMapTest, MergeWidens) {
   a.Merge(b);
   EXPECT_EQ(a.min.int64_value(), 1);
   EXPECT_EQ(a.max.int64_value(), 20);
+}
+
+// The boxed zone-map loop ZoneMap::Compute replaced: every valid slot is
+// boxed and compared with Value::Compare; the first value seen wins ties.
+ZoneMap BoxedZoneMap(const ColumnVector& col) {
+  ZoneMap zm;
+  for (size_t i = 0; i < col.size(); ++i) {
+    if (!col.IsValid(i)) {
+      zm.has_nulls = true;
+      continue;
+    }
+    Value v = col.GetValue(i);
+    if (!zm.valid) {
+      zm.min = v;
+      zm.max = v;
+      zm.valid = true;
+    } else {
+      if (v.Compare(zm.min) < 0) zm.min = v;
+      if (v.Compare(zm.max) > 0) zm.max = std::move(v);
+    }
+  }
+  return zm;
+}
+
+// Identical values: same type and NULL-ness, and for doubles the same bits,
+// which tells -0.0 from 0.0 and keeps NaN apart from every number.
+void ExpectSameBound(const Value& a, const Value& b) {
+  ASSERT_EQ(a.is_null(), b.is_null());
+  if (a.is_null()) return;
+  ASSERT_EQ(a.type(), b.type());
+  if (a.type() == DataType::kDouble) {
+    const double da = a.double_value(), db = b.double_value();
+    EXPECT_EQ(std::memcmp(&da, &db, sizeof(double)), 0) << da << " vs " << db;
+  } else {
+    EXPECT_EQ(a.Compare(b), 0) << a.ToString() << " vs " << b.ToString();
+  }
+}
+
+void ExpectZoneMapMatchesBoxed(const ColumnVector& col) {
+  const ZoneMap typed = ZoneMap::Compute(col);
+  const ZoneMap boxed = BoxedZoneMap(col);
+  EXPECT_EQ(typed.valid, boxed.valid);
+  EXPECT_EQ(typed.has_nulls, boxed.has_nulls);
+  ExpectSameBound(typed.min, boxed.min);
+  ExpectSameBound(typed.max, boxed.max);
+}
+
+TEST(ZoneMapTest, TypedComputeMatchesBoxedLoop) {
+  for (DataType type : {DataType::kBool, DataType::kInt32, DataType::kInt64,
+                        DataType::kDouble, DataType::kString,
+                        DataType::kDate32}) {
+    SCOPED_TRACE(std::string(DataTypeToString(type)));
+    Random rng(0x20ULL);
+    for (double null_prob : {0.0, 0.3, 1.0}) {
+      ExpectZoneMapMatchesBoxed(
+          testing::PlanGen::RandomColumn(&rng, type, 200, null_prob));
+    }
+    ExpectZoneMapMatchesBoxed(ColumnVector(type));
+  }
+}
+
+TEST(ZoneMapTest, TypedComputeKeepsFirstOfTiesAndIgnoresNan) {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> doubles = {
+      {0.0, -0.0, 1.0, -0.0, 1.0},  // ±0.0 tie for the minimum
+      {-0.0, 0.0, -1.0, 0.0},       // ... and for the maximum
+      {nan, 1.0, -1.0},             // a leading NaN is never replaced
+      {1.0, nan, -1.0, 2.0, nan},   // a later NaN never replaces a bound
+      {nan, nan}};
+  for (const std::vector<double>& values : doubles) {
+    ExpectZoneMapMatchesBoxed(ColumnVector::FromDouble(values));
+    ColumnVector with_nulls = ColumnVector::FromDouble(values);
+    with_nulls.SetNull(0);
+    ExpectZoneMapMatchesBoxed(with_nulls);
+  }
+
+  // Duplicate minima and maxima.
+  ExpectZoneMapMatchesBoxed(ColumnVector::FromInt64({3, 1, 1, 5, 5, 3}));
+  ExpectZoneMapMatchesBoxed(ColumnVector::FromInt32({-4, 7, -4, 7}));
+  ExpectZoneMapMatchesBoxed(ColumnVector::FromDate32({100, 100, 99, 101}));
+  ExpectZoneMapMatchesBoxed(
+      ColumnVector::FromString({"b", "a", "", "c", "c", ""}));
+
+  // Bools: mixed, one value only, and partly NULL.
+  ExpectZoneMapMatchesBoxed(ColumnVector::FromBool({1, 0, 1, 0}));
+  ExpectZoneMapMatchesBoxed(ColumnVector::FromBool({1, 1, 1}));
+  ColumnVector bools = ColumnVector::FromBool({0, 1, 0});
+  bools.SetNull(1);
+  ExpectZoneMapMatchesBoxed(bools);
+  const ZoneMap zm = ZoneMap::Compute(bools);
+  EXPECT_FALSE(zm.max.bool_value());
 }
 
 TEST(TableBuilderTest, BuildsRowGroups) {

@@ -116,6 +116,41 @@ TEST(BufferPoolTest, ResidentBytesTracked) {
   EXPECT_EQ(pool.resident_bytes(), 0u);
 }
 
+// A scan holds its page's rows: evicting the frame leaves them readable and
+// unchanged, and a later miss decodes a fresh copy.
+TEST(BufferPoolTest, PageRowsOutliveEviction) {
+  Table table = MakeKv(20'000);
+  HeapFile file = HeapFile::FromTable(table).ValueOrDie();
+  ASSERT_GE(file.num_pages(), 2u);
+  DecodedPage want;
+  ASSERT_TRUE(file.page(0).ReadRows(file.schema(), &want).ok());
+  ASSERT_EQ(want.num_rows(), file.page(0).num_rows());
+  sim::FabricConfig config;
+  CostMeter meter(config);
+  BufferPool pool(1, &meter);
+  BufferPool::PageRows held = pool.GetPage(&file, 0).ValueOrDie();
+  ASSERT_TRUE(pool.GetPage(&file, 1).ok());  // evicts page 0
+  EXPECT_EQ(pool.evictions(), 1u);
+  auto same_rows = [&](const DecodedPage& rows) {
+    ASSERT_EQ(rows.num_rows(), want.num_rows());
+    Row got, expected;
+    for (size_t r = 0; r < rows.num_rows(); ++r) {
+      rows.CopyRow(r, &got);
+      want.CopyRow(r, &expected);
+      ASSERT_EQ(got.size(), file.schema().num_fields());
+      ASSERT_EQ(got.size(), expected.size());
+      for (size_t c = 0; c < got.size(); ++c) {
+        EXPECT_EQ(got[c].Compare(expected[c]), 0) << r << "," << c;
+      }
+    }
+  };
+  same_rows(*held);
+  BufferPool::PageRows again = pool.GetPage(&file, 0).ValueOrDie();
+  EXPECT_EQ(pool.misses(), 3u);
+  EXPECT_NE(again.get(), held.get());
+  same_rows(*again);
+}
+
 TEST(CostMeterTest, ChargesAccumulate) {
   sim::FabricConfig config;
   CostMeter meter(config);
@@ -403,6 +438,51 @@ TEST(IteratorTest, EvalOnRowMatchesKernelSemantics) {
   auto div = Expr::Arith(ArithOp::kDiv, Expr::ColAt(0),
                          Expr::Lit(Value::Int64(0)));
   EXPECT_TRUE(EvalOnRow(*div, row).ValueOrDie().is_null());
+}
+
+// Operands read in place (columns, literals) and computed ones (nested
+// expressions) give the same answers, and a bad column still fails.
+TEST(IteratorTest, EvalOnRowOperandsInPlaceAndComputed) {
+  Row row = {Value::Int64(4), Value::Double(2.5), Value::String("abc"),
+             Value::Null(DataType::kString)};
+  auto eval = [&](const ExprPtr& e) { return EvalOnRow(*e, row); };
+  // Literal on the left, column on the right; two columns.
+  EXPECT_TRUE(eval(Expr::Cmp(CompareOp::kGt, Expr::Lit(Value::Int64(5)),
+                             Expr::ColAt(0)))
+                  .ValueOrDie()
+                  .bool_value());
+  EXPECT_FALSE(eval(Expr::Cmp(CompareOp::kEq, Expr::ColAt(0), Expr::ColAt(1)))
+                   .ValueOrDie()
+                   .bool_value());
+  // Computed operands: (k * 2) > (v + 5.0) is 8 > 7.5.
+  auto lhs = Expr::Arith(ArithOp::kMul, Expr::ColAt(0),
+                         Expr::Lit(Value::Int64(2)));
+  auto rhs = Expr::Arith(ArithOp::kAdd, Expr::ColAt(1),
+                         Expr::Lit(Value::Double(5.0)));
+  EXPECT_TRUE(eval(Expr::Cmp(CompareOp::kGt, lhs, rhs))
+                  .ValueOrDie()
+                  .bool_value());
+  const Value sum = eval(Expr::Arith(ArithOp::kAdd, lhs, rhs)).ValueOrDie();
+  EXPECT_EQ(sum.double_value(), 15.5);
+  // NULL operands: a compare is false, LIKE is false.
+  EXPECT_FALSE(eval(Expr::Cmp(CompareOp::kEq, Expr::ColAt(3),
+                              Expr::Lit(Value::String("abc"))))
+                   .ValueOrDie()
+                   .bool_value());
+  EXPECT_FALSE(eval(Expr::Like(Expr::ColAt(3), "%")).ValueOrDie().bool_value());
+  EXPECT_TRUE(
+      eval(Expr::Like(Expr::ColAt(2), "a_c")).ValueOrDie().bool_value());
+  // A column past the row and an unresolved column fail as operands too.
+  EXPECT_EQ(eval(Expr::Cmp(CompareOp::kEq, Expr::ColAt(9), Expr::ColAt(0)))
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  EXPECT_EQ(eval(Expr::Arith(ArithOp::kAdd, Expr::ColAt(0), Expr::Col("x")))
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(eval(Expr::Like(Expr::ColAt(0), "%")).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace
