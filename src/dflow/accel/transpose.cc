@@ -129,7 +129,8 @@ Status RowStore::AppendRow(const std::vector<Value>& values) {
 Result<DataChunk> RowStore::ToColumnar() const {
   DataChunk chunk = DataChunk::EmptyFromSchema(schema_);
   for (size_t c = 0; c < schema_.num_fields(); ++c) {
-    DFLOW_ASSIGN_OR_RETURN(chunk.column(c), ReadColumn(c));
+    DFLOW_ASSIGN_OR_RETURN(ColumnVector col, ReadColumn(c));
+    chunk.column(c) = std::move(col);
   }
   return chunk;
 }

@@ -119,7 +119,7 @@ Status DecodePlain(ByteReader* r, size_t n, ColumnVector* col) {
     case DataType::kString: {
       // Every row costs a 4-byte length, so the rest is a bound on its bytes.
       StringArena& strs = col->strs();
-      strs.Reserve(n, r->remaining() - std::min(r->remaining(), 4 * n));
+      strs.reserve(n, r->remaining() - std::min(r->remaining(), 4 * n));
       for (size_t i = 0; i < n; ++i) {
         std::string_view s;
         DFLOW_RETURN_NOT_OK(r->GetStringView(&s));

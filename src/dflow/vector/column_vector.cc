@@ -24,7 +24,7 @@ void StringArena::AppendRange(const StringArena& other, size_t start,
   }
 }
 
-void StringArena::Reserve(size_t rows, size_t bytes) {
+void StringArena::reserve(size_t rows, size_t bytes) {
   offsets_.reserve(rows + 1);
   bytes_.reserve(bytes);
 }
@@ -178,15 +178,7 @@ void ColumnVector::AppendValue(const Value& v) {
 void ColumnVector::AppendNull() {
   EnsureValidity();
   // Append a placeholder slot in the data storage.
-  std::visit(
-      [](auto& v) {
-        if constexpr (kIsArena<decltype(v)>) {
-          v.Append({});
-        } else {
-          v.emplace_back();
-        }
-      },
-      data_);
+  std::visit([](auto& v) { v.emplace_back(); }, data_);
   validity_.push_back(0);
 }
 
@@ -260,27 +252,11 @@ void ColumnVector::AppendRange(const ColumnVector& other, size_t start,
 }
 
 void ColumnVector::Reserve(size_t n) {
-  std::visit(
-      [n](auto& v) {
-        if constexpr (kIsArena<decltype(v)>) {
-          v.Reserve(n, 0);
-        } else {
-          v.reserve(n);
-        }
-      },
-      data_);
+  std::visit([n](auto& v) { v.reserve(n); }, data_);
 }
 
 void ColumnVector::Clear() {
-  std::visit(
-      [](auto& v) {
-        if constexpr (kIsArena<decltype(v)>) {
-          v.Clear();
-        } else {
-          v.clear();
-        }
-      },
-      data_);
+  std::visit([](auto& v) { v.clear(); }, data_);
   validity_.clear();
 }
 
@@ -316,7 +292,7 @@ ColumnVector ColumnVector::TakeRange(size_t start, size_t count) const {
         using Storage = std::decay_t<decltype(src)>;
         auto& dst = std::get<Storage>(out.data_);
         if constexpr (kIsArena<Storage>) {
-          dst.Reserve(count, 0);  // the byte range is copied in one go
+          dst.reserve(count);  // the byte range is copied in one go
           dst.AppendRange(src, start, count);
         } else {
           const auto first = src.begin() + static_cast<std::ptrdiff_t>(start);

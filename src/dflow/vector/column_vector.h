@@ -1,8 +1,8 @@
 #ifndef DFLOW_VECTOR_COLUMN_VECTOR_H_
 #define DFLOW_VECTOR_COLUMN_VECTOR_H_
 
+#include <algorithm>
 #include <cstdint>
-#include <cstring>
 #include <limits>
 #include <string>
 #include <string_view>
@@ -44,7 +44,7 @@ class StringArena {
  public:
   size_t size() const { return offsets_.empty() ? 0 : offsets_.size() - 1; }
 
-  /// Row i; valid until the next append, Reserve or Clear.
+  /// Row i; valid until the next append, reserve or clear.
   std::string_view operator[](size_t i) const {
     return std::string_view(bytes_.data() + offsets_[i],
                             offsets_[i + 1] - offsets_[i]);
@@ -74,7 +74,7 @@ class StringArena {
     offsets_.resize(first + count);
     for (size_t i = 0; i < count; ++i) {
       const std::string_view s = view_at(i);
-      CopyBytes(bytes_.data() + end, s);
+      std::copy(s.begin(), s.end(), bytes_.begin() + end);
       end += s.size();
       offsets_[first + i] = static_cast<uint32_t>(end);
     }
@@ -84,8 +84,11 @@ class StringArena {
   /// bytes, and their offsets rebased onto this arena.
   void AppendRange(const StringArena& other, size_t start, size_t count);
 
-  void Reserve(size_t rows, size_t bytes);
-  void Clear() {
+  /// Named like the std::vector storage of the other column types, so a
+  /// std::visit over ColumnVector's storage treats every kind alike.
+  void emplace_back() { Append({}); }
+  void reserve(size_t rows, size_t bytes = 0);
+  void clear() {
     bytes_.clear();
     offsets_.clear();
   }
@@ -94,17 +97,6 @@ class StringArena {
   size_t num_bytes() const { return bytes_.size(); }
 
  private:
-  // Short rows are copied byte by byte: for the one-byte flags and short
-  // codes that string keys mostly are, a memcpy call costs more than the
-  // copy itself.
-  static void CopyBytes(char* dst, std::string_view s) {
-    if (s.size() <= 16) {
-      for (size_t j = 0; j < s.size(); ++j) dst[j] = s[j];
-    } else {
-      std::memcpy(dst, s.data(), s.size());
-    }
-  }
-
   void CheckRoom(size_t more) const {
     DFLOW_CHECK_LE(more, std::numeric_limits<uint32_t>::max() - bytes_.size())
         << "string column exceeds 4 GiB of bytes";
